@@ -6,7 +6,8 @@ cost is 2 * k^2 * Cin * Cout * H' * W' per layer (one multiply plus one
 add per kernel tap, per output position, batch excluded); a ReLU costs one
 operation per element. The conv:ReLU ratio is taken over the trunk (the
 staged blocks), which is where the placement policy acts; stem and head are
-identical across variants.
+identical across variants. The counts and conv FLOPs are also grouped by
+top-level scope (stem, stageN, head), the rows of a network summary.
 
 ``collapse_check`` is the receptive-field composition oracle: two stacked
 stride-1 same-padding convolutions with nothing (or only a per-channel
@@ -38,6 +39,8 @@ class RatioReport:
     param_count: int            # trainable parameters
     total_conv: int             # whole graph node counts
     total_relu: int
+    # top-level scope (stem, stageN, head) -> [convs, ReLUs, conv FLOPs]
+    regions: dict
 
     @property
     def ratio_text(self) -> str:
@@ -45,24 +48,28 @@ class RatioReport:
 
 
 def _walk_tape(tape: Tape, trunk_prefix: str = "stage"):
-    n_conv = n_relu = total_conv = total_relu = 0
-    flops_conv = flops_relu = 0
+    n_conv = n_relu = flops_relu = 0
+    regions = {}
     for node in tape.nodes:
+        if node.kind not in ("conv2d", "relu"):
+            continue
         # trunk = module convs/ReLUs inside the staged blocks; projection
         # shortcuts are cost (FLOPs/params) but not part of the N:M policy
         in_trunk = node.scope.startswith(trunk_prefix) and ".skip" not in node.scope
+        region = regions.setdefault(node.scope.split(".")[0], [0, 0, 0])
         if node.kind == "conv2d":
             o, c, kh, kw = node.meta["kernel_shape"]
             _, _, oh, ow = node.meta["out_shape"]
-            flops_conv += 2 * kh * kw * c * o * oh * ow
-            total_conv += 1
+            region[0] += 1
+            region[2] += 2 * kh * kw * c * o * oh * ow
             n_conv += in_trunk
-        elif node.kind == "relu":
+        else:
             _, ch, h, w = node.value.shape
             flops_relu += ch * h * w
-            total_relu += 1
+            region[1] += 1
             n_relu += in_trunk
-    return n_conv, n_relu, total_conv, total_relu, flops_conv, flops_relu
+    total_conv, total_relu, flops_conv = (sum(r[i] for r in regions.values()) for i in range(3))
+    return n_conv, n_relu, total_conv, total_relu, flops_conv, flops_relu, regions
 
 
 def audit(target, input_shape=(1, 3, 32, 32), seed: int = 0) -> RatioReport:
@@ -89,7 +96,7 @@ def audit(target, input_shape=(1, 3, 32, 32), seed: int = 0) -> RatioReport:
         probe = rng.standard_normal(input_shape).astype(store.dtype)
         _, tape = target.forward(probe, training=False)
         param_count = store.param_count()
-    n_conv, n_relu, total_conv, total_relu, flops_conv, flops_relu = _walk_tape(tape)
+    n_conv, n_relu, total_conv, total_relu, flops_conv, flops_relu, regions = _walk_tape(tape)
     return RatioReport(
         n_conv=n_conv,
         n_relu=n_relu,
@@ -99,6 +106,7 @@ def audit(target, input_shape=(1, 3, 32, 32), seed: int = 0) -> RatioReport:
         param_count=param_count,
         total_conv=total_conv,
         total_relu=total_relu,
+        regions=regions,
     )
 
 

@@ -106,14 +106,6 @@ class BlockSpec:
         elif self.relu_mask_b is not None:
             raise ValueError("relu_mask_b is only meaningful for merge-run blocks")
 
-    @property
-    def relu_count(self) -> int:
-        return sum(self.relu_mask) + sum(self.relu_mask_b or ())
-
-    @property
-    def total_convs(self) -> int:
-        return self.conv_count * (2 if self.family == "dfn-merge-run" else 1)
-
     def to_line(self) -> str:
         fields = [
             f"family={self.family}",

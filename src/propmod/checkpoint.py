@@ -90,13 +90,18 @@ def load_tensors(path) -> dict:
     return tensors
 
 
-def save_training_state(path, model, velocities: dict, epoch: int, seed: int) -> None:
-    """Snapshot parameters, BN running stats, optimizer velocities, RNG seed."""
+def save_training_state(path, model, velocities: dict, epoch: int, seed: int,
+                        best_acc: float = -1.0, history=()) -> None:
+    """Snapshot parameters, BN running stats, optimizer velocities, RNG seed,
+    the best test accuracy so far and the per-epoch history, one
+    (epoch, train_loss, train_acc, test_acc) row per finished epoch."""
     tensors = dict(model.store.state_arrays())
     for name, v in velocities.items():
         tensors[f"opt.velocity.{name}"] = v
     tensors["meta.epoch"] = np.asarray(epoch, dtype=np.int64)
     tensors["meta.seed"] = np.asarray(seed, dtype=np.int64)
+    tensors["meta.best_acc"] = np.asarray(best_acc, dtype=np.float64)
+    tensors["meta.history"] = np.asarray(history, dtype=np.float64).reshape(-1, 4)
     save_tensors(path, tensors)
 
 
@@ -126,4 +131,7 @@ def load_training_state(path, model) -> dict:
         "velocities": velocities,
         "epoch": int(tensors["meta.epoch"]),
         "seed": int(tensors["meta.seed"]),
+        # absent from checkpoints written before they were recorded
+        "best_acc": float(tensors.get("meta.best_acc", -1.0)),
+        "history": tensors.get("meta.history", np.zeros((0, 4))),
     }

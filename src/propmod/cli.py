@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .audit import audit, collapse_check
-from .autograd import ParamStore, gradcheck, seeded_rng
+from .autograd import gradcheck, seeded_rng
 from .blocks import LinearModuleError
 from .checkpoint import CheckpointError, load_training_state
 from .data import DataError, load_cifar, make_synthetic
@@ -78,6 +78,8 @@ def _add_train_flags(p):
     p.add_argument("--nesterov", action=argparse.BooleanOptionalAction, default=True,
                    help="use the Nesterov momentum form")
     p.add_argument("--weight-decay", type=float, default=1e-4, help="L2 weight decay")
+    # accepted for old command lines and sweep specs; batches are assembled in
+    # the training loop and every run is bit-reproducible whatever its value
     p.add_argument("--workers", type=int, default=1,
                    help="data workers; 1 guarantees bit-reproducible runs")
     p.add_argument("--no-augment", action="store_true", help="disable crop/flip augmentation")
@@ -190,33 +192,48 @@ def _load_datasets(args, seed: int):
     return train, test
 
 
-def _run_id(args) -> str:
-    cfgbits = [args.arch, f"d{args.depth}" if args.depth else "custom", args.module]
-    if args.module == "proportional":
-        cfgbits.append((args.removal_type or args.ratio or "2:1").replace(":", "-"))
-    cfgbits.append(f"s{args.seed}")
-    return "-".join(cfgbits)
+def _run_id(cfg: NetworkConfig) -> str:
+    """Directory name of a train run: distinct for every distinct resolved config."""
+    bits = [cfg.family, f"d{cfg.depth}" if cfg.depth is not None
+            else "b" + "-".join(map(str, cfg.stage_blocks))]
+    removed = [v.replace(":", "-") for v in (cfg.ratio, cfg.removal)
+               if v not in ("1:1", "none", "0")]
+    bits += ["proportional", *removed] if removed else ["paired"]
+    if cfg.pairing != "post":
+        bits.append(cfg.pairing)
+    if cfg.drop_bn_with_relu:
+        bits.append("dropbn")
+    if cfg.num_classes != 10:
+        bits.append(f"c{cfg.num_classes}")
+    bits.append(f"s{cfg.seed}")
+    return "-".join(bits)
 
 
-# -- subcommands -----------------------------------------------------------------
-
-
-def cmd_train(args) -> int:
+def _train_run(args, run_name=None):
+    """Load data, build the network, write the manifest and fit one run in
+    ``<out>/<run_name or run id>``; returns (run directory, RunRecord)."""
     train_data, test_data = _load_datasets(args, args.seed)
     net_cfg = _network_config(args, train_data.num_classes)
     model = build_network(net_cfg)
     cfg = TrainConfig(
         epochs=args.epochs, batch_size=args.batch_size, base_lr=args.lr,
         momentum=args.momentum, nesterov=args.nesterov, weight_decay=args.weight_decay,
-        seed=args.seed, workers=args.workers, augment=not args.no_augment,
+        seed=args.seed, augment=not args.no_augment,
     )
-    out_dir = Path(args.out) / _run_id(args)
+    out_dir = Path(args.out) / (run_name or _run_id(net_cfg))
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.txt").write_text(format_manifest(model))
-    record = fit(model, train_data, test_data, cfg, out_dir=out_dir, resume_from=args.resume)
+    return out_dir, fit(model, train_data, test_data, cfg, out_dir=out_dir,
+                        resume_from=args.resume)
+
+
+# -- subcommands -----------------------------------------------------------------
+
+
+def cmd_train(args) -> int:
+    out_dir, record = _train_run(args)
     print(f"run {out_dir.name}: final test accuracy {record.final_test_acc:.4f} "
-          f"(best {record.best_test_acc:.4f}), wall {record.wall_time:.1f}s, "
-          f"reproducibility {record.reproducibility}")
+          f"(best {record.best_test_acc:.4f}), wall {record.wall_time:.1f}s")
     print(f"artifacts: {out_dir}/manifest.txt curves.csv ckpt-best.bin ckpt-final.bin")
     return EXIT_OK
 
@@ -325,18 +342,7 @@ def _run_sweep_cell(payload):
     base, cell, seed, out_root = payload
     parser = build_parser()
     args = parser.parse_args(_cell_args(base, cell, seed, out_root))
-    train_data, test_data = _load_datasets(args, args.seed)
-    net_cfg = _network_config(args, train_data.num_classes)
-    model = build_network(net_cfg)
-    cfg = TrainConfig(
-        epochs=args.epochs, batch_size=args.batch_size, base_lr=args.lr,
-        momentum=args.momentum, nesterov=args.nesterov, weight_decay=args.weight_decay,
-        seed=args.seed, workers=args.workers, augment=not args.no_augment,
-    )
-    out_dir = Path(args.out) / f"seed{seed}"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "manifest.txt").write_text(format_manifest(model))
-    record = fit(model, train_data, test_data, cfg, out_dir=out_dir)
+    _, record = _train_run(args, f"seed{seed}")
     return cell["name"], seed, record.final_test_acc
 
 

@@ -8,8 +8,7 @@ computed once from the training split and cached beside the archives,
 since no canonical values ship with the data.
 
 Everything downstream is a pure function of (seed, epoch, index): batch
-composition and augmentation never depend on timing, so a prefetching
-loader cannot change results.
+composition and augmentation never depend on timing.
 """
 
 from __future__ import annotations
@@ -30,8 +29,8 @@ CIFAR10_TEST_FILES = ["test_batch.bin"]
 CIFAR100_TRAIN_FILES = ["train.bin"]
 CIFAR100_TEST_FILES = ["test.bin"]
 
-_PIXELS = 3 * 32 * 32
 _SUBDIRS = {"cifar10": "cifar-10-batches-bin", "cifar100": "cifar-100-binary"}
+_RECORD_LEN = {"cifar10": 3073, "cifar100": 3074}  # label byte(s) + pixels
 
 
 class DataError(ValueError):
@@ -62,6 +61,11 @@ def resolve_data_dir(path=None) -> Path:
     return Path("data")
 
 
+def _base_dir(root: Path, which: str) -> Path:
+    base = root / _SUBDIRS[which]
+    return base if base.is_dir() else root
+
+
 def _archive_paths(root: Path, which: str, split: str) -> list:
     files = {
         ("cifar10", "train"): CIFAR10_TRAIN_FILES,
@@ -69,9 +73,7 @@ def _archive_paths(root: Path, which: str, split: str) -> list:
         ("cifar100", "train"): CIFAR100_TRAIN_FILES,
         ("cifar100", "test"): CIFAR100_TEST_FILES,
     }[(which, split)]
-    base = root / _SUBDIRS[which]
-    if not base.is_dir():
-        base = root
+    base = _base_dir(root, which)
     paths = [base / f for f in files]
     missing = [str(p) for p in paths if not p.is_file()]
     if missing:
@@ -91,6 +93,7 @@ def _read_records(path: Path, record_len: int):
 
 
 def _decode(records: np.ndarray, which: str):
+    """Validated (uint8 pixel rows, int64 labels) of one archive's records."""
     if which == "cifar10":
         labels = records[:, 0].astype(np.int64)
         if labels.max(initial=0) > 9:
@@ -107,15 +110,16 @@ def _decode(records: np.ndarray, which: str):
             bad = int(np.argmax(labels > 99))
             raise DataError(f"record {bad}: fine label byte {labels[bad]} out of range [0, 100)")
         pixels = records[:, 2:]
-    images = pixels.reshape(-1, 3, 32, 32).astype(np.float32) / np.float32(255.0)
-    return images, labels
+    return pixels, labels
 
 
-def _norm_stats_path(root: Path, which: str) -> Path:
-    base = root / _SUBDIRS[which]
-    if not base.is_dir():
-        base = root
-    return base / f"normalization-{which}.json"
+def _read_split(root: Path, which: str, split: str):
+    """Every record of one split: (N, 3, 32, 32) images in [0, 1] and (N,) labels."""
+    parts = [_decode(_read_records(p, _RECORD_LEN[which]), which)
+             for p in _archive_paths(root, which, split)]
+    images = np.concatenate([px for px, _ in parts]).reshape(-1, 3, 32, 32).astype(np.float32)
+    images /= np.float32(255.0)
+    return images, np.concatenate([lb for _, lb in parts])
 
 
 def compute_norm_stats(images: np.ndarray):
@@ -124,19 +128,17 @@ def compute_norm_stats(images: np.ndarray):
     return mean.astype(np.float32), std.astype(np.float32)
 
 
-def load_or_compute_norm_stats(root: Path, which: str) -> tuple:
-    """Per-channel mean/std from the training split, cached beside the data."""
-    stats_path = _norm_stats_path(root, which)
+def load_or_compute_norm_stats(root: Path, which: str, train_images=None) -> tuple:
+    """Per-channel mean/std from the training split, cached beside the data;
+    ``train_images``, the split's images if the caller has read them, spare a reread."""
+    stats_path = _base_dir(root, which) / f"normalization-{which}.json"
     if stats_path.is_file():
         stats = json.loads(stats_path.read_text())
         return (np.asarray(stats["mean"], dtype=np.float32),
                 np.asarray(stats["std"], dtype=np.float32))
-    images = None
-    for path in _archive_paths(root, which, "train"):
-        rec_len = 3073 if which == "cifar10" else 3074
-        chunk, _ = _decode(_read_records(path, rec_len), which)
-        images = chunk if images is None else np.concatenate([images, chunk])
-    mean, std = compute_norm_stats(images)
+    if train_images is None:
+        train_images, _ = _read_split(root, which, "train")
+    mean, std = compute_norm_stats(train_images)
     try:
         stats_path.write_text(json.dumps({"mean": mean.tolist(), "std": std.tolist()}))
     except OSError:
@@ -163,23 +165,10 @@ def load_cifar(path=None, which: str = "cifar10", split: str = "train",
     if split not in ("train", "test"):
         raise ValueError(f"unknown split {split!r}")
     root = resolve_data_dir(path)
-    record_len = 3073 if which == "cifar10" else 3074
-    images, labels = None, None
-    for p in _archive_paths(root, which, split):
-        chunk_images, chunk_labels = _decode(_read_records(p, record_len), which)
-        images = chunk_images if images is None else np.concatenate([images, chunk_images])
-        labels = chunk_labels if labels is None else np.concatenate([labels, chunk_labels])
-    stats_path = _norm_stats_path(root, which)
-    if not stats_path.is_file() and split == "train":
-        mean, std = compute_norm_stats(images)
-        try:
-            stats_path.write_text(json.dumps({"mean": mean.tolist(), "std": std.tolist()}))
-        except OSError:
-            pass
-    else:
-        mean, std = load_or_compute_norm_stats(root, which)
-    images = (images - mean[None, :, None, None]) / std[None, :, None, None]
+    images, labels = _read_split(root, which, split)
+    mean, std = load_or_compute_norm_stats(root, which, images if split == "train" else None)
     images, labels = _apply_subset(images, labels, subset)
+    images = (images - mean[None, :, None, None]) / std[None, :, None, None]
     return DatasetHandle(
         source=which, split=split, images=images, labels=labels,
         num_classes=10 if which == "cifar10" else 100,
@@ -252,24 +241,8 @@ def make_batch(handle: DatasetHandle, indices: np.ndarray, seed: int, epoch: int
 
 
 def iter_batches(handle: DatasetHandle, batch_size: int, seed: int, epoch: int,
-                 augment: bool = True, workers: int = 1):
-    """Yield (images, labels) minibatches in the epoch's shuffled order.
-
-    With workers > 1 the next batch is assembled on a background thread
-    while the current one trains; batch content is seed-determined, so the
-    overlap cannot change results.
-    """
+                 augment: bool = True):
+    """Yield (images, labels) minibatches in the epoch's shuffled order."""
     order = epoch_order(handle, seed, epoch)
-    slices = [order[i:i + batch_size] for i in range(0, len(order), batch_size)]
-    if workers <= 1:
-        for idx in slices:
-            yield make_batch(handle, idx, seed, epoch, augment)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        pending = pool.submit(make_batch, handle, slices[0], seed, epoch, augment)
-        for nxt in slices[1:]:
-            ready = pending.result()
-            pending = pool.submit(make_batch, handle, nxt, seed, epoch, augment)
-            yield ready
-        yield pending.result()
+    for i in range(0, len(order), batch_size):
+        yield make_batch(handle, order[i:i + batch_size], seed, epoch, augment)

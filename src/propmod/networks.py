@@ -70,11 +70,6 @@ def _template_block(cfg: NetworkConfig) -> BlockSpec:
     return build_merge_run(str(cfg.removal), drop_bn_with_relu=cfg.drop_bn_with_relu)
 
 
-def depth_of(stage_blocks, template: BlockSpec) -> int:
-    # merge-run blocks count one branch: the two parallel paths have equal depth
-    return 2 + sum(stage_blocks) * template.conv_count
-
-
 def resolve_stage_blocks(cfg: NetworkConfig, template: BlockSpec):
     """Per-stage block counts for the requested depth, plus an optional note."""
     if cfg.stage_blocks is not None:
@@ -112,8 +107,8 @@ class Model:
         return self.cfg.family
 
     def forward_on(self, tape: Tape, x) -> "Node":
-        x = np.asarray(x, dtype=self.store.dtype)
-        node = tape.constant(Tensor(x))
+        # a copy: the tape freezes what it holds, and the caller's array stays theirs
+        node = tape.constant(Tensor(np.array(x, dtype=self.store.dtype)))
         stem_conv, stem_bn = self.stem
         with tape.scope("stem"):
             node = stem_conv(tape, node)
@@ -224,23 +219,10 @@ def summarize(model: Model, input_shape=(1, 3, 32, 32)) -> NetworkSummary:
     from .audit import audit  # local import: audit also imports blocks
 
     report = audit(model, input_shape)
-    probe = np.zeros(input_shape, dtype=model.store.dtype)
-    _, tape = model.forward(probe, training=False)
-
     regions = ["stem"] + [f"stage{i + 1}" for i in range(len(model.stages))] + ["head"]
     rows = []
     for region in regions:
-        convs = relus = flops = 0
-        for node in tape.nodes:
-            if not (node.scope == region or node.scope.startswith(region + ".")):
-                continue
-            if node.kind == "conv2d":
-                o, c, kh, kw = node.meta["kernel_shape"]
-                _, _, oh, ow = node.meta["out_shape"]
-                convs += 1
-                flops += 2 * kh * kw * c * o * oh * ow
-            elif node.kind == "relu":
-                relus += 1
+        convs, relus, flops = report.regions.get(region, (0, 0, 0))
         params = sum(p.value.size for name, p in model.store.trainable_items()
                      if name.startswith(region + "."))
         rows.append(StageRow(region, convs, relus, params, flops))

@@ -82,10 +82,6 @@ class Tensor:
     def astype(self, precision: str) -> "Tensor":
         return Tensor(self.data.astype(dtype_for(precision)))
 
-    def numpy(self) -> np.ndarray:
-        """Writable copy of the underlying buffer."""
-        return self.data.copy()
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, precision={self.precision})"
 

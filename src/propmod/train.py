@@ -10,8 +10,8 @@ The update, per parameter, with g the batch-averaged gradient:
 Gradients are averaged over the batch (the loss is a mean), so the
 learning rate means the same thing at any batch size. The learning rate
 is multiplied by the decay factor at each milestone, given as epoch
-fractions. In single-worker mode two runs with the same seed produce
-byte-identical checkpoints and CSV curves.
+fractions. Two runs with the same seed produce byte-identical checkpoints
+and CSV curves, and so does a run that was interrupted and resumed.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ class TrainConfig:
     lr_milestones: tuple = (0.5, 0.75)   # epoch fractions
     lr_decay: float = 0.1
     seed: int = 0
-    workers: int = 1
     augment: bool = True
 
     def __post_init__(self):
@@ -79,7 +78,6 @@ class EpochStats:
 @dataclass
 class RunRecord:
     config_hash: str
-    reproducibility: str                 # "bit" (single worker) or "statistical"
     epochs: list = field(default_factory=list)
     wall_time: float = 0.0
 
@@ -162,9 +160,10 @@ def fit(model, train_data: DatasetHandle, test_data: DatasetHandle | None,
 
     ``stop_after`` interrupts training after that many epochs while keeping
     the configured schedule (an interrupted run, not a shorter one);
-    ``resume_from`` restores parameters, optimizer velocities, and the epoch
-    counter from a checkpoint. The resumed continuation is bit-identical to
-    the uninterrupted run in single-worker mode.
+    ``resume_from`` restores parameters, optimizer velocities, the epoch
+    counter, the best test accuracy and the epoch history from a checkpoint
+    written with the same seed. The resumed run's artifacts are
+    byte-identical to the uninterrupted run's.
     """
     if train_data.num_classes != model.cfg.num_classes:
         raise ValueError(
@@ -172,21 +171,22 @@ def fit(model, train_data: DatasetHandle, test_data: DatasetHandle | None,
             f"{model.cfg.num_classes}"
         )
     optimizer = SGD(model.store, cfg)
-    start_epoch = 0
+    record = RunRecord(config_hash=cfg.hash())
+    start_epoch, best_acc = 0, -1.0
     if resume_from is not None:
         state = load_training_state(resume_from, model)
+        if state["seed"] != cfg.seed:
+            raise ValueError(f"checkpoint {resume_from} was written with seed {state['seed']}, "
+                             f"but this run uses seed {cfg.seed}")
         optimizer.velocities.update(state["velocities"])
         start_epoch = state["epoch"] + 1
-
-    record = RunRecord(
-        config_hash=cfg.hash(),
-        reproducibility="bit" if cfg.workers <= 1 else "statistical",
-    )
+        best_acc = state["best_acc"]
+        record.epochs = [EpochStats(int(row[0]), *map(float, row[1:]))
+                         for row in state["history"]]
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    best_acc = -1.0
     last_epoch = cfg.epochs if stop_after is None else min(cfg.epochs, stop_after)
     t0 = time.perf_counter()
     for epoch in range(start_epoch, last_epoch):
@@ -194,7 +194,7 @@ def fit(model, train_data: DatasetHandle, test_data: DatasetHandle | None,
         losses = []
         correct = total = 0
         for images, labels in iter_batches(train_data, cfg.batch_size, cfg.seed, epoch,
-                                           augment=cfg.augment, workers=cfg.workers):
+                                           augment=cfg.augment):
             loss, logits, tape = model.loss(images, labels, training=True)
             loss_value = float(loss.value.data)
             if not np.isfinite(loss_value):
@@ -210,15 +210,17 @@ def fit(model, train_data: DatasetHandle, test_data: DatasetHandle | None,
             pred = np.argmax(logits.value.data, axis=1)
             correct += int((pred == labels).sum())
             total += len(labels)
+            del loss, logits, tape  # free this step's graph before the next forward
         test_acc = evaluate(model, test_data) if test_data is not None else float("nan")
         record.epochs.append(EpochStats(epoch, float(np.mean(losses)), correct / total, test_acc))
+        improved = test_data is not None and test_acc > best_acc
+        if improved:
+            best_acc = test_acc
         if out_dir is not None:
-            save_training_state(out_dir / "ckpt-final.bin", model, optimizer.velocities,
-                                epoch, cfg.seed)
-            if test_data is not None and test_acc > best_acc:
-                best_acc = test_acc
-                save_training_state(out_dir / "ckpt-best.bin", model, optimizer.velocities,
-                                    epoch, cfg.seed)
+            history = [(e.epoch, e.train_loss, e.train_acc, e.test_acc) for e in record.epochs]
+            for name in ["ckpt-final.bin"] + ["ckpt-best.bin"] * improved:
+                save_training_state(out_dir / name, model, optimizer.velocities,
+                                    epoch, cfg.seed, best_acc, history)
             (out_dir / "curves.csv").write_text(record.to_csv())
     record.wall_time = time.perf_counter() - t0
     return record

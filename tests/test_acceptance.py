@@ -191,7 +191,7 @@ class TestAcceptance:
         def run(out, stop_after=None, resume_from=None, seed_model=2):
             model = build_network(NetworkConfig(family="plain", depth=8,
                                                 stage_widths=(8, 8, 16), seed=seed_model))
-            cfg = TrainConfig(epochs=3, batch_size=32, seed=7, workers=1)
+            cfg = TrainConfig(epochs=3, batch_size=32, seed=7)
             fit(model, data, test, cfg, out_dir=out, stop_after=stop_after,
                 resume_from=resume_from)
             return out
@@ -204,6 +204,10 @@ class TestAcceptance:
         part = run(tmp_path / "part", stop_after=1)
         resumed = run(tmp_path / "resumed", resume_from=part / "ckpt-final.bin")
         assert (resumed / "ckpt-final.bin").read_bytes() == (a / "ckpt-final.bin").read_bytes()
+        # resumed in its own directory, the interrupted run ends as the uninterrupted one
+        run(part, resume_from=part / "ckpt-final.bin")
+        for name in ("ckpt-final.bin", "ckpt-best.bin", "curves.csv"):
+            assert (part / name).read_bytes() == (a / name).read_bytes(), name
         report("determinism (byte-identical artifacts; resume == uninterrupted)")
 
     def test_overfit_sanity(self):

@@ -113,6 +113,40 @@ class TestTrainCommand:
         ckpt = tmp_path / "plain-d8-paired-s0" / "ckpt-final.bin"
         assert main(argv + ["--epochs", "2", "--resume", str(ckpt)]) == 0
 
+    def test_resume_with_other_seed_is_usage_error(self, tmp_path, capsys):
+        argv = ["train", "--arch", "plain", "--depth", "8", "--dataset", "synthetic",
+                "--synthetic-count", "24", "--batch-size", "24", "--no-augment",
+                "--epochs", "2", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        ckpt = tmp_path / "plain-d8-paired-s0" / "ckpt-final.bin"
+        assert main(argv + ["--seed", "1", "--resume", str(ckpt)]) == 1
+        assert "seed 0" in capsys.readouterr().err
+
+
+PLAIN8 = ["--arch", "plain", "--depth", "8"]
+BNECK11 = ["--arch", "resnet-preact-bottleneck", "--depth", "11"]
+
+
+class TestRunId:
+    @pytest.mark.parametrize("first,second,ids", [
+        (BNECK11 + ["--removal-type", "2"], BNECK11 + ["--removal-type", "3"],
+         ["resnet-preact-bottleneck-d11-proportional-2-s0",
+          "resnet-preact-bottleneck-d11-proportional-3-s0"]),
+        (PLAIN8, PLAIN8 + ["--pairing", "pre"], ["plain-d8-paired-pre-s0", "plain-d8-paired-s0"]),
+        (PLAIN8 + ["--ratio", "2:1"], PLAIN8 + ["--ratio", "2:1", "--drop-bn-with-relu"],
+         ["plain-d8-proportional-2-1-dropbn-s0", "plain-d8-proportional-2-1-s0"]),
+        (PLAIN8, PLAIN8 + ["--dataset", "cifar100"], ["plain-d8-paired-c100-s0", "plain-d8-paired-s0"]),
+    ])
+    def test_each_resolved_config_gets_its_own_run(self, first, second, ids, cifar100_dir,
+                                                   tmp_path):
+        common = ["--dataset", "synthetic", "--synthetic-count", "8",
+                  "--data-dir", str(cifar100_dir), "--subset", "8",
+                  "--epochs", "1", "--batch-size", "8", "--no-augment",
+                  "--out", str(tmp_path / "out")]
+        for variant in (first, second):
+            assert main(["train", *common, *variant]) == 0
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ids
+
 
 class TestAuditCommand:
     def test_paired_vs_type1_bottleneck_parity(self, capsys, tmp_path):

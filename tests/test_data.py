@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from propmod import DataError, load_cifar, make_synthetic
+from propmod import data as data_module
 from propmod.data import (augment_image, augmentation_rng, epoch_order, hflip,
                           iter_batches, load_or_compute_norm_stats, make_batch, pad_crop)
 
@@ -71,6 +72,22 @@ class TestCifarLoader:
         mean, std = load_or_compute_norm_stats(cifar10_dir, "cifar10")
         assert mean.shape == (3,) and std.shape == (3,)
 
+    def test_train_split_reads_each_archive_once(self, cifar10_dir, monkeypatch):
+        # no normalization cache yet: the statistics come from the records
+        # already read for the split, not from a second pass over the archives
+        assert not (cifar10_dir / "normalization-cifar10.json").exists()
+        reads = []
+        read_records = data_module._read_records
+
+        def counting(path, record_len):
+            reads.append(path.name)
+            return read_records(path, record_len)
+
+        monkeypatch.setattr(data_module, "_read_records", counting)
+        load_cifar(cifar10_dir, "cifar10", "train", subset=(50, 0))
+        assert sorted(reads) == [f"data_batch_{i}.bin" for i in range(1, 6)]
+        assert (cifar10_dir / "normalization-cifar10.json").is_file()
+
     def test_normalized_train_mean_near_zero(self, cifar10_dir):
         train = load_cifar(cifar10_dir, "cifar10", "train")
         assert np.abs(train.images.mean(axis=(0, 2, 3))).max() < 1e-3
@@ -135,15 +152,6 @@ class TestAugmentation:
             runs.append([img.copy() for img, _ in iter_batches(handle, 16, seed=9, epoch=4)])
         for x, y in zip(*runs):
             np.testing.assert_array_equal(x, y)
-
-    def test_prefetch_worker_matches_sync(self):
-        handle = make_synthetic(10, 48, seed=0)
-        sync = list(iter_batches(handle, 16, seed=1, epoch=0, workers=1))
-        pref = list(iter_batches(handle, 16, seed=1, epoch=0, workers=2))
-        assert len(sync) == len(pref) == 3
-        for (xa, ya), (xb, yb) in zip(sync, pref):
-            np.testing.assert_array_equal(xa, xb)
-            np.testing.assert_array_equal(ya, yb)
 
     def test_epoch_order_is_seeded_shuffle(self):
         handle = make_synthetic(10, 32, seed=0)

@@ -76,6 +76,15 @@ class TestForward:
         logits, _ = model.forward(x)
         assert logits.value.shape == (2, 10)
 
+    def test_forward_leaves_caller_array_alone(self):
+        model = build_network(small("plain"))
+        x = np.random.default_rng(3).standard_normal((2, 3, 16, 16)).astype(np.float32)
+        _, tape = model.forward(x)
+        assert x.flags.writeable
+        recorded = tape.nodes[0].value.data.copy()
+        x[...] = 0
+        np.testing.assert_array_equal(tape.nodes[0].value.data, recorded)
+
     def test_training_flag_reaches_bn(self):
         model = build_network(small("plain"))
         x = np.random.default_rng(1).standard_normal((4, 3, 16, 16)).astype(np.float32)
@@ -110,12 +119,31 @@ class TestSummaries:
                   for removal in ("none", "type1")}
         assert counts["none"] == counts["type1"]
 
-    def test_stage_rows_cover_everything(self):
-        summary = summarize(build_network(small("resnet-preact")), input_shape=(1, 3, 16, 16))
-        names = [row.name for row in summary.rows]
-        assert names == ["stem", "stage1", "stage2", "stage3", "head"]
-        assert sum(row.convs for row in summary.rows) == summary.report.total_conv
-        assert sum(row.params for row in summary.rows) == summary.report.param_count
+    @pytest.mark.parametrize("family,depth", [
+        ("plain", 8), ("resnet-preact", 8), ("resnet-preact-bottleneck", 11), ("dfn-mr1", 8),
+    ])
+    def test_stage_rows_cover_everything(self, family, depth):
+        summary = summarize(build_network(small(family, depth=depth)),
+                            input_shape=(1, 3, 16, 16))
+        rows, report = summary.rows, summary.report
+        assert [row.name for row in rows] == ["stem", "stage1", "stage2", "stage3", "head"]
+        assert sum(row.convs for row in rows) == report.total_conv
+        assert sum(row.relus for row in rows) == report.total_relu
+        assert sum(row.params for row in rows) == report.param_count
+        assert sum(row.flops_conv for row in rows) == report.flops_conv
+
+    def test_summarize_runs_one_forward(self, monkeypatch):
+        model = build_network(small("resnet-preact"))
+        calls = []
+        forward_on = type(model).forward_on
+
+        def counting(self, tape, x):
+            calls.append(x.shape)
+            return forward_on(self, tape, x)
+
+        monkeypatch.setattr(type(model), "forward_on", counting)
+        summarize(model, input_shape=(1, 3, 16, 16))
+        assert calls == [(1, 3, 16, 16)]
 
 
 class TestManifest:

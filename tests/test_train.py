@@ -1,5 +1,7 @@
 """Optimizer exactness, fit semantics, checkpoints, determinism."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,21 @@ class TestFit:
         with pytest.raises(NumericalFailure):
             fit(model, tiny_data(16), None, cfg)
 
+    def test_previous_step_graph_released(self):
+        # the tape of step k is gone by the time step k + 1 starts its forward
+        model = tiny_model()
+        loss, tapes, alive = model.loss, [], []
+
+        def tracking(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in tapes))
+            out = loss(*args, **kwargs)
+            tapes.append(weakref.ref(out[2]))
+            return out
+
+        model.loss = tracking
+        fit(model, tiny_data(48), None, TrainConfig(epochs=1, batch_size=16, augment=False))
+        assert alive == [0, 0, 0]
+
     def test_curves_csv_schema(self, tmp_path):
         model = tiny_model()
         cfg = TrainConfig(epochs=2, batch_size=16, seed=0, augment=False)
@@ -176,7 +193,6 @@ class TestFit:
         lines = (tmp_path / "curves.csv").read_text().splitlines()
         assert lines[0] == "epoch,train_loss,train_acc,test_acc"
         assert len(lines) == 3
-        assert record.reproducibility == "bit"
         assert 0.0 <= record.epochs[0].train_acc <= 1.0
 
 
@@ -290,6 +306,27 @@ class TestDeterminism:
         full = (tmp_path / "full" / "ckpt-final.bin").read_bytes()
         res = (tmp_path / "resumed" / "ckpt-final.bin").read_bytes()
         assert full == res
+
+    def test_resume_in_place_byte_identical(self, tmp_path):
+        data, test = tiny_data(32), tiny_data(16, seed=9)
+        cfg = TrainConfig(epochs=4, batch_size=16, seed=5)
+        fit(tiny_model(seed=4), data, test, cfg, out_dir=tmp_path / "full")
+        fit(tiny_model(seed=4), data, test, cfg, out_dir=tmp_path / "part", stop_after=2)
+        record = fit(tiny_model(seed=4), data, test, cfg, out_dir=tmp_path / "part",
+                     resume_from=tmp_path / "part" / "ckpt-final.bin")
+        assert [e.epoch for e in record.epochs] == [0, 1, 2, 3]
+        for name in ("ckpt-final.bin", "ckpt-best.bin", "curves.csv"):
+            assert ((tmp_path / "part" / name).read_bytes()
+                    == (tmp_path / "full" / name).read_bytes()), name
+
+    def test_resume_rejects_other_seed(self, tmp_path):
+        data = tiny_data(16)
+        fit(tiny_model(), data, None, TrainConfig(epochs=2, batch_size=16, seed=5),
+            out_dir=tmp_path, stop_after=1)
+        with pytest.raises(ValueError) as err:
+            fit(tiny_model(), data, None, TrainConfig(epochs=2, batch_size=16, seed=6),
+                resume_from=tmp_path / "ckpt-final.bin")
+        assert "seed 5" in str(err.value) and "seed 6" in str(err.value)
 
 
 class TestAggregation:
