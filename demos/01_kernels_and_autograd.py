@@ -12,8 +12,9 @@ from propmod.kernels import conv2d, conv2d_naive, relu
 
 rng = seeded_rng(0, "demo1")
 
-# -- the production convolution is im2col + one matmul; the six-deep loop
-#    reference stays around purely to keep it honest -------------------------
+# -- the production convolution unfolds each image to a patch matrix and
+#    runs one batched matmul; the six-deep loop reference stays around purely
+#    to keep it honest -------------------------------------------------------
 x = rng.standard_normal((1, 2, 5, 5))
 k = rng.standard_normal((3, 2, 3, 3))
 fast = conv2d(x, k, stride=1, padding=1)

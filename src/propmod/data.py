@@ -123,8 +123,11 @@ def _read_split(root: Path, which: str, split: str):
 
 
 def compute_norm_stats(images: np.ndarray):
-    mean = images.mean(axis=(0, 2, 3), dtype=np.float64)
-    std = images.std(axis=(0, 2, 3), dtype=np.float64)
+    """Per-channel float64 mean and std, one channel at a time: the float64
+    temporaries then span one channel, not the whole split."""
+    planes = [images[:, ch] for ch in range(images.shape[1])]
+    mean = np.array([p.mean(dtype=np.float64) for p in planes])
+    std = np.array([p.std(dtype=np.float64) for p in planes])
     return mean.astype(np.float32), std.astype(np.float32)
 
 

@@ -1,10 +1,12 @@
 """Numeric kernels: convolution, pooling, elementwise ops, reductions.
 
 Everything here is a pure function on numpy arrays with a fixed loop nest,
-so outputs are bit-identical across runs and independent of how many data
-workers sit upstream. The production convolution lowers to im2col + one
-matrix multiply; ``conv2d_naive`` keeps the six-deep reference loop around
-as the test oracle for that path.
+so outputs are bit-identical across runs. The production convolution lowers
+each image to a patch matrix of shape (C*KH*KW, OH*OW): ``im2col`` fills an
+(N, C, KH, KW, OH, OW) buffer that is that stack of matrices without a
+transpose, so one batched matrix multiply writes the NCHW output in place and
+the backward passes reuse the same layout. ``conv2d_naive`` keeps the
+six-deep reference loop around as the test oracle for that path.
 """
 
 from __future__ import annotations
@@ -19,26 +21,29 @@ def conv_out_extent(extent: int, k: int, stride: int, padding: int) -> int:
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
-    """Unfold NCHW input into (N*OH*OW, C*KH*KW) patch rows."""
+    """Unfold NCHW input into per-image patch matrices (N, C*KH*KW, OH*OW)."""
     n, c, h, w = x.shape
     oh = conv_out_extent(h, kh, stride, padding)
     ow = conv_out_extent(w, kw, stride, padding)
-    img = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    img = x
+    if padding:
+        img = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        img[:, :, padding:padding + h, padding:padding + w] = x
     cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
     for i in range(kh):
         i_max = i + stride * oh
         for j in range(kw):
             j_max = j + stride * ow
             cols[:, :, i, j, :, :] = img[:, :, i:i_max:stride, j:j_max:stride]
-    return cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, c * kh * kw)
+    return cols.reshape(n, c * kh * kw, oh * ow)
 
 
 def col2im(cols: np.ndarray, x_shape: tuple, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
-    """Adjoint of ``im2col``: scatter-add patch rows back onto the input grid."""
+    """Adjoint of ``im2col``: scatter-add patch matrices back onto the input grid."""
     n, c, h, w = x_shape
     oh = conv_out_extent(h, kh, stride, padding)
     ow = conv_out_extent(w, kw, stride, padding)
-    cols = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+    cols = cols.reshape(n, c, kh, kw, oh, ow)
     img = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
     for i in range(kh):
         i_max = i + stride * oh
@@ -76,16 +81,16 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, stride: int = 1, padding: int = 0)
             f"stride {stride}, padding {padding}"
         )
     cols = im2col(x, kh, kw, stride, padding)
-    out = cols @ kernel.reshape(o, c * kh * kw).T
-    return out.reshape(n, oh, ow, o).transpose(0, 3, 1, 2)
+    out = np.empty((n, o, oh, ow), dtype=x.dtype)
+    np.matmul(kernel.reshape(o, c * kh * kw), cols, out=out.reshape(n, o, oh * ow))
+    return out
 
 
 def conv2d_input_grad(grad_out: np.ndarray, kernel: np.ndarray, x_shape: tuple,
                       stride: int, padding: int) -> np.ndarray:
     n, o, oh, ow = grad_out.shape
     _, c, kh, kw = kernel.shape
-    g = grad_out.transpose(0, 2, 3, 1).reshape(n * oh * ow, o)
-    cols_grad = g @ kernel.reshape(o, c * kh * kw)
+    cols_grad = kernel.reshape(o, c * kh * kw).T @ grad_out.reshape(n, o, oh * ow)
     return col2im(cols_grad, x_shape, kh, kw, stride, padding)
 
 
@@ -94,8 +99,8 @@ def conv2d_kernel_grad(grad_out: np.ndarray, x: np.ndarray, kernel_shape: tuple,
     n, o, oh, ow = grad_out.shape
     _, c, kh, kw = kernel_shape
     cols = im2col(x, kh, kw, stride, padding)
-    g = grad_out.transpose(0, 2, 3, 1).reshape(n * oh * ow, o)
-    return (g.T @ cols).reshape(kernel_shape)
+    g = grad_out.reshape(n, o, oh * ow)
+    return (g @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernel_shape)
 
 
 def conv2d_naive(x: np.ndarray, kernel: np.ndarray, stride: int = 1, padding: int = 0) -> np.ndarray:

@@ -22,7 +22,7 @@ from propmod.data import DATA_DIR_ENV
 from propmod.kernels import conv2d, conv2d_naive
 from propmod.layers import BatchNormState
 
-from conftest import write_cifar10_archives
+from archives import write_cifar10_archives
 
 
 def report(name):

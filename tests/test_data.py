@@ -1,14 +1,16 @@
 """Binary ingestion, augmentation determinism, synthetic data."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from propmod import DataError, load_cifar, make_synthetic
 from propmod import data as data_module
-from propmod.data import (augment_image, augmentation_rng, epoch_order, hflip,
-                          iter_batches, load_or_compute_norm_stats, make_batch, pad_crop)
+from propmod.data import (augment_image, augmentation_rng, compute_norm_stats, epoch_order,
+                          hflip, iter_batches, load_or_compute_norm_stats, make_batch,
+                          pad_crop)
 
 
 class TestCifarLoader:
@@ -71,6 +73,16 @@ class TestCifarLoader:
         assert stats_file.is_file()
         mean, std = load_or_compute_norm_stats(cifar10_dir, "cifar10")
         assert mean.shape == (3,) and std.shape == (3,)
+
+    def test_norm_stats_make_no_split_sized_float64_copy(self):
+        images = np.random.default_rng(0).random((2000, 3, 32, 32), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            compute_norm_stats(images)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < images.nbytes, f"peak {peak} bytes for {images.nbytes} bytes of images"
 
     def test_train_split_reads_each_archive_once(self, cifar10_dir, monkeypatch):
         # no normalization cache yet: the statistics come from the records

@@ -115,28 +115,44 @@ class TestConv2d:
         b = kernels.conv2d(x, k, stride=1, padding=1)
         assert np.array_equal(a, b)
 
-    def test_backward_matches_finite_differences(self):
+    # the four lowering shapes of the published nets, at n=2 so the kernel
+    # gradient's sum over images is exercised
+    @pytest.mark.parametrize("ksize,stride,pad", [(3, 1, 1), (3, 2, 1), (1, 1, 0), (1, 2, 0)])
+    def test_backward_matches_finite_differences(self, ksize, stride, pad):
         rng = np.random.default_rng(4)
-        x = rng.standard_normal((1, 2, 5, 5))
-        k = rng.standard_normal((3, 2, 3, 3))
-        g = rng.standard_normal((1, 3, 3, 3))  # output of stride 2, pad 1 on 5x5
-        gx = kernels.conv2d_input_grad(g, k, x.shape, 2, 1)
-        gk = kernels.conv2d_kernel_grad(g, x, k.shape, 2, 1)
+        x = rng.standard_normal((2, 2, 5, 5))
+        k = rng.standard_normal((3, 2, ksize, ksize))
+        side = kernels.conv_out_extent(5, ksize, stride, pad)
+        g = rng.standard_normal((2, 3, side, side))
+        gx = kernels.conv2d_input_grad(g, k, x.shape, stride, pad)
+        gk = kernels.conv2d_kernel_grad(g, x, k.shape, stride, pad)
+
+        def conv(a, b):
+            return kernels.conv2d(a, b, stride, pad)
+
         eps = 1e-6
         for _ in range(20):
             idx = tuple(rng.integers(0, s) for s in x.shape)
             xp, xm = x.copy(), x.copy()
             xp[idx] += eps
             xm[idx] -= eps
-            num = ((kernels.conv2d(xp, k, 2, 1) - kernels.conv2d(xm, k, 2, 1)) * g).sum() / (2 * eps)
+            num = ((conv(xp, k) - conv(xm, k)) * g).sum() / (2 * eps)
             assert abs(num - gx[idx]) < 1e-8
         for _ in range(20):
             idx = tuple(rng.integers(0, s) for s in k.shape)
             kp, km = k.copy(), k.copy()
             kp[idx] += eps
             km[idx] -= eps
-            num = ((kernels.conv2d(x, kp, 2, 1) - kernels.conv2d(x, km, 2, 1)) * g).sum() / (2 * eps)
+            num = ((conv(x, kp) - conv(x, km)) * g).sum() / (2 * eps)
             assert abs(num - gk[idx]) < 1e-8
+
+    def test_output_is_contiguous_and_owned(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((2, 3, 6, 6)).astype(np.float32)
+        k = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
+        out = kernels.conv2d(x, k, stride=1, padding=1)
+        assert out.flags.c_contiguous and out.flags.owndata
+        assert Tensor(out).data is out
 
 
 class TestElementwise:
