@@ -4,7 +4,10 @@ Each forward pass records a fresh tape: nodes are appended in creation
 order, which is already a topological order, so the backward sweep is a
 single reverse iteration. Parameters live outside the tape in a
 :class:`ParamStore`; ``backward`` accumulates into their gradient buffers,
-so calling it twice without zeroing doubles every gradient.
+so calling it twice without zeroing doubles every gradient. An eval tape
+(``training=False``) records no backward: the ops that would keep state
+only for it (the ReLU mask, BN's normalized input) pass no ``grad_fn``, and
+``backward`` on such a tape raises.
 
 ``gradcheck`` is the finite-difference referee: central differences on a
 seeded sample of coordinates per parameter tensor, run in double precision.
@@ -182,7 +185,7 @@ class Tape:
         def grad_fn(g):
             return (np.where(mask, g, g.dtype.type(0)),)
 
-        return self.record("relu", (x,), Tensor(out), grad_fn, meta={"mask": mask})
+        return self.record("relu", (x,), Tensor(out), grad_fn if self.training else None)
 
     def add(self, a: Node, b: Node) -> Node:
         out = kernels.add(a.value.data, b.value.data)
@@ -243,6 +246,8 @@ class Tape:
 
     def backward(self, loss: Node) -> None:
         """Reverse accumulation from a scalar loss into the ParamStore."""
+        if not self.training:
+            raise ValueError("backward on an eval tape (training=False): it records no backward")
         if loss.value.shape != ():
             raise ShapeError(f"backward requires a scalar loss, got shape {loss.value.shape}")
         grads: dict[int, np.ndarray] = {loss.idx: np.asarray(loss.value.dtype.type(1.0))}
@@ -273,8 +278,12 @@ class Tape:
                     owned.add(inp.idx)
 
     def relu_signature(self) -> list:
-        """Sign masks of every ReLU on the tape, in creation order."""
-        return [n.meta["mask"] for n in self.nodes if n.kind == "relu"]
+        """Sign masks (input > 0) of every ReLU on the tape, in creation order.
+
+        Read from each output: ReLU passes exactly the positive inputs, and
+        maps NaN to 0, so ``out > 0`` equals ``x > 0`` bit for bit.
+        """
+        return [n.value.data > 0 for n in self.nodes if n.kind == "relu"]
 
 
 # -- finite-difference checker ----------------------------------------------

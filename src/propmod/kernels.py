@@ -5,8 +5,11 @@ so outputs are bit-identical across runs. The production convolution lowers
 each image to a patch matrix of shape (C*KH*KW, OH*OW): ``im2col`` fills an
 (N, C, KH, KW, OH, OW) buffer that is that stack of matrices without a
 transpose, so one batched matrix multiply writes the NCHW output in place and
-the backward passes reuse the same layout. ``conv2d_naive`` keeps the
-six-deep reference loop around as the test oracle for that path.
+the backward passes reuse the same layout. A 1x1, stride-1, unpadded conv's
+patch matrix is its input: ``im2col`` returns a reshaped view of ``x`` and
+``col2im`` a reshaped view of the patch gradient, with no copy and no
+scatter. ``conv2d_naive`` keeps the six-deep reference loop around as the
+test oracle for that path.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ def conv_out_extent(extent: int, k: int, stride: int, padding: int) -> int:
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
     """Unfold NCHW input into per-image patch matrices (N, C*KH*KW, OH*OW)."""
     n, c, h, w = x.shape
+    if kh == kw == stride == 1 and padding == 0:
+        return x.reshape(n, c, h * w)
     oh = conv_out_extent(h, kh, stride, padding)
     ow = conv_out_extent(w, kw, stride, padding)
     img = x
@@ -41,6 +46,8 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.nda
 def col2im(cols: np.ndarray, x_shape: tuple, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
     """Adjoint of ``im2col``: scatter-add patch matrices back onto the input grid."""
     n, c, h, w = x_shape
+    if kh == kw == stride == 1 and padding == 0:
+        return cols.reshape(x_shape)
     oh = conv_out_extent(h, kh, stride, padding)
     ow = conv_out_extent(w, kw, stride, padding)
     cols = cols.reshape(n, c, kh, kw, oh, ow)

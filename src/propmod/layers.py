@@ -4,7 +4,9 @@ Layers register their parameters in a :class:`ParamStore` under dotted
 names at construction time and are then pure functions of a tape:
 ``layer(tape, node) -> node``. Initialization is a deterministic function
 of (seed, parameter name), so rebuilding the same architecture with the
-same seed reproduces every weight bit for bit.
+same seed reproduces every weight bit for bit. Eval tapes record no
+backward: eval-mode batch norm keeps no normalized input and passes no
+gradient function.
 """
 
 from __future__ import annotations
@@ -76,7 +78,10 @@ def batchnorm_train(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: flo
     """Normalize by batch statistics per channel, then scale-shift.
 
     Returns (y, cache, batch_mean, batch_var); variance is the biased
-    (population) estimate over the N*H*W slots of each channel.
+    (population) estimate over the N*H*W slots of each channel. ``x`` is
+    centred once and the variance is reduced from the centred array without
+    squaring it into a temporary; ``xhat`` and ``y`` are buffers this op
+    allocates and owns.
     """
     m = x.shape[0] * x.shape[2] * x.shape[3]
     if m < 2:
@@ -84,25 +89,29 @@ def batchnorm_train(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: flo
             f"train-mode batch norm undefined for a single slot per channel (N*H*W = {m})"
         )
     mean = x.mean(axis=(0, 2, 3))
-    var = x.var(axis=(0, 2, 3))
+    xhat = x - mean[None, :, None, None]
+    var = np.einsum("nchw,nchw->c", xhat, xhat) / m
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    y = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+    xhat *= inv_std[None, :, None, None]
+    y = xhat * gamma[None, :, None, None]
+    y += beta[None, :, None, None]
     return y, (xhat, inv_std, m), mean, var
 
 
 def batchnorm_train_backward(grad: np.ndarray, cache, gamma: np.ndarray):
-    """Full backward through the batch statistics."""
+    """Full backward through the batch statistics.
+
+    dx = gamma*inv_std * (grad - dbeta/m - xhat*dgamma/m), built in one
+    buffer this op owns; ``grad`` is only read (``add`` hands the same array
+    to both of its inputs).
+    """
     xhat, inv_std, m = cache
-    dgamma = (grad * xhat).sum(axis=(0, 2, 3))
+    dgamma = np.einsum("nchw,nchw->c", grad, xhat)
     dbeta = grad.sum(axis=(0, 2, 3))
-    dxhat = grad * gamma[None, :, None, None]
-    # dX = inv_std/m * (m*dxhat - sum(dxhat) - xhat * sum(dxhat*xhat))
-    sum_dxhat = dxhat.sum(axis=(0, 2, 3))
-    sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2, 3))
-    dx = (inv_std[None, :, None, None] / m) * (
-        m * dxhat - sum_dxhat[None, :, None, None] - xhat * sum_dxhat_xhat[None, :, None, None]
-    )
+    dx = xhat * (dgamma / m)[None, :, None, None]
+    dx += (dbeta / m)[None, :, None, None]
+    np.subtract(grad, dx, out=dx)
+    dx *= (gamma * inv_std)[None, :, None, None]
     return dx, dgamma, dbeta
 
 
@@ -119,7 +128,8 @@ class BatchNorm2d:
     Training mode normalizes by batch statistics and stages a running-stat
     update on the tape; nothing is written until the trainer commits the
     step, which keeps forward passes pure. Eval mode normalizes by the
-    stored running statistics, a fixed per-channel affine map.
+    stored running statistics, a fixed per-channel affine map, and records
+    no backward.
     """
 
     def __init__(self, store: ParamStore, name: str, channels: int,
@@ -173,16 +183,7 @@ class BatchNorm2d:
         rm = self.store[self.name + ".running_mean"].value.data
         rv = self.store[self.name + ".running_var"].value.data
         y = batchnorm_eval(xd, gd, bd, rm, rv, self.epsilon)
-        inv_std = 1.0 / np.sqrt(rv + self.epsilon)
-        xhat = (xd - rm[None, :, None, None]) * inv_std[None, :, None, None]
-
-        def grad_fn(grad):
-            dx = grad * (gd * inv_std)[None, :, None, None]
-            dgamma = (grad * xhat).sum(axis=(0, 2, 3))
-            dbeta = grad.sum(axis=(0, 2, 3))
-            return dx, dgamma, dbeta
-
-        return tape.record("batchnorm", (x, g, b), Tensor(y), grad_fn, meta={"mode": "eval"})
+        return tape.record("batchnorm", (x, g, b), Tensor(y), None, meta={"mode": "eval"})
 
 
 class Linear:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from propmod import ParamStore, ShapeError, Tensor, gradcheck
+from propmod import NetworkConfig, ParamStore, ShapeError, Tensor, build_network, gradcheck
 from propmod.autograd import Tape, seeded_rng
 from propmod.blocks import build_preact_building, make_block
 from propmod.layers import softmax_cross_entropy
@@ -72,6 +72,46 @@ class TestBackward:
         tape = Tape(store)
         tape.backward(tape.sum(tape.relu(tape.param("w"))))
         np.testing.assert_array_equal(store["w"].grad, [0.0, 1.0])
+
+
+def tiny_resnet():
+    return build_network(NetworkConfig(family="resnet-preact", depth=8, stage_widths=(4, 4, 8),
+                                       seed=1))
+
+
+class TestEvalTape:
+    def test_backward_on_eval_tape_raises(self):
+        store = make_store({"w": [1.0, -2.0]})
+        tape = Tape(store, training=False)
+        loss = tape.sum(tape.relu(tape.param("w")))
+        assert tape.nodes[1].grad_fn is None  # the ReLU keeps no mask
+        with pytest.raises(ValueError):
+            tape.backward(loss)
+        np.testing.assert_array_equal(store["w"].grad, np.zeros(2))
+
+    def test_eval_network_records_no_relu_or_bn_backward(self):
+        model = tiny_resnet()
+        x = seeded_rng(1, "eval-tape").standard_normal((2, 3, 8, 8)).astype(np.float32)
+        _, tape = model.forward(x, training=False)
+        kept = [n for n in tape.nodes if n.kind in ("relu", "batchnorm")]
+        assert kept and all(n.grad_fn is None for n in kept)
+
+    def test_relu_signature_is_input_sign(self):
+        model = tiny_resnet()
+        x = seeded_rng(2, "eval-tape").standard_normal((2, 3, 8, 8)).astype(np.float32)
+        _, tape = model.forward(x, training=True)
+        relus = [n for n in tape.nodes if n.kind == "relu"]
+        signature = tape.relu_signature()
+        assert len(signature) == len(relus) > 0
+        for node, mask in zip(relus, signature):
+            assert mask.dtype == bool
+            np.testing.assert_array_equal(mask, node.inputs[0].value.data > 0)
+
+    def test_relu_signature_at_special_values(self):
+        x = np.array([np.nan, 0.0, -0.0, -1.0, 1e-300, np.inf, -np.inf])
+        tape = Tape(make_store({}))
+        tape.relu(tape.constant(Tensor(x)))
+        np.testing.assert_array_equal(tape.relu_signature()[0], x > 0)
 
 
 class TestGradcheck:

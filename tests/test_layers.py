@@ -5,8 +5,8 @@ import pytest
 
 from propmod import ParamStore, Tensor
 from propmod.autograd import Tape, seeded_rng
-from propmod.layers import (BatchNorm2d, BatchNormState, Conv2d, Linear, he_normal,
-                            softmax_cross_entropy)
+from propmod.layers import (BatchNorm2d, BatchNormState, Conv2d, Linear, batchnorm_train,
+                            batchnorm_train_backward, he_normal, softmax_cross_entropy)
 
 
 def bn_fixture(channels=3, precision="double"):
@@ -90,6 +90,68 @@ class TestBatchNorm:
         with pytest.raises(ValueError):
             BatchNormState(gamma=np.ones(3), beta=np.zeros(3),
                            running_mean=np.zeros(3), running_var=-np.ones(3))
+
+
+def textbook_batchnorm(x, gamma, beta, grad, eps):
+    """Ioffe & Szegedy (2015), Algorithm 1 and its chain rule, term by term."""
+    axes = (0, 2, 3)
+    m = x.shape[0] * x.shape[2] * x.shape[3]
+
+    def per_channel(v):
+        return v[None, :, None, None]
+
+    mu = x.sum(axis=axes) / m
+    var = ((x - per_channel(mu)) ** 2).sum(axis=axes) / m
+    std = np.sqrt(var + eps)
+    xhat = (x - per_channel(mu)) / per_channel(std)
+    y = per_channel(gamma) * xhat + per_channel(beta)
+    dxhat = grad * per_channel(gamma)
+    dvar = (dxhat * (x - per_channel(mu))).sum(axis=axes) * -0.5 * std ** -3
+    dmu = -dxhat.sum(axis=axes) / std + dvar * (-2 * (x - per_channel(mu))).sum(axis=axes) / m
+    dx = (dxhat / per_channel(std) + per_channel(dvar) * 2 * (x - per_channel(mu)) / m
+          + per_channel(dmu) / m)
+    return y, mu, var, dx, (grad * xhat).sum(axis=axes), grad.sum(axis=axes)
+
+
+def max_rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+class TestBatchNormMath:
+    """batchnorm_train and its backward against the textbook formulas."""
+
+    def run(self, x, gamma, beta, grad):
+        grad.setflags(write=False)  # add hands one array to both inputs: never write it
+        y, cache, mean, var = batchnorm_train(x, gamma, beta, 1e-5)
+        dx, dgamma, dbeta = batchnorm_train_backward(grad, cache, gamma)
+        return y, mean, var, dx, dgamma, dbeta
+
+    def test_double_matches_textbook_with_a_dead_channel(self):
+        rng = seeded_rng(5, "bn-math")
+        x = rng.standard_normal((4, 5, 6, 7)) * 3 + 1
+        grad = rng.standard_normal(x.shape)
+        gamma, beta = rng.standard_normal(5), rng.standard_normal(5)
+        gamma[2] = 0.0
+        got = self.run(x, gamma, beta, grad)
+        want = textbook_batchnorm(x, gamma, beta, grad, 1e-5)
+        for name, a, b in zip(("y", "mean", "var", "dx", "dgamma", "dbeta"), got, want):
+            assert a.dtype == np.float64 and a.shape == b.shape, name
+            assert max_rel(a, b) < 1e-13, name
+        assert not got[3][:, 2].any()  # gamma = 0 passes no gradient to x
+        np.testing.assert_array_equal(got[0][:, 2], beta[2])
+
+    def test_single_matches_double_rebuild(self):
+        # measured worst over five seeds: 5.2e-7 (dgamma); elsewhere <= 3e-7
+        rng = seeded_rng(6, "bn-math")
+        x = (rng.standard_normal((64, 16, 32, 32)) * 2 + 0.5).astype(np.float32)
+        grad = rng.standard_normal(x.shape).astype(np.float32)
+        gamma = rng.standard_normal(16).astype(np.float32)
+        beta = rng.standard_normal(16).astype(np.float32)
+        got = self.run(x, gamma, beta, grad)
+        want = textbook_batchnorm(*(a.astype(np.float64) for a in (x, gamma, beta, grad)), 1e-5)
+        for name, a, b in zip(("y", "mean", "var", "dx", "dgamma", "dbeta"), got, want):
+            assert a.dtype == np.float32 and a.shape == b.shape, name
+            assert max_rel(a, b) < 1e-6, name
 
 
 class TestSoftmaxCrossEntropy:

@@ -155,6 +155,25 @@ class TestConv2d:
         assert Tensor(out).data is out
 
 
+class TestLowering:
+    def test_pointwise_patch_matrix_is_the_input(self):
+        x = np.random.default_rng(6).standard_normal((2, 3, 4, 5))
+        cols = kernels.im2col(x, 1, 1, 1, 0)
+        assert cols.shape == (2, 3, 20) and np.shares_memory(cols, x)
+        np.testing.assert_array_equal(cols, x.reshape(2, 3, 20))
+        back = kernels.col2im(cols, x.shape, 1, 1, 1, 0)
+        assert back.shape == x.shape and np.shares_memory(back, cols)
+        np.testing.assert_array_equal(back, x)
+
+    @pytest.mark.parametrize("stride,pad", [(2, 0), (1, 1)])
+    def test_other_pointwise_lowerings_copy(self, stride, pad):
+        x = np.random.default_rng(7).standard_normal((2, 3, 4, 5))
+        cols = kernels.im2col(x, 1, 1, stride, pad)
+        assert not np.shares_memory(cols, x)
+        back = kernels.col2im(cols, x.shape, 1, 1, stride, pad)
+        assert back.shape == x.shape and not np.shares_memory(back, cols)
+
+
 class TestElementwise:
     def test_relu_sign_cases(self):
         np.testing.assert_array_equal(kernels.relu(np.array([-1.0, 0.0, 2.0])),
