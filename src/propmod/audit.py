@@ -47,7 +47,7 @@ class RatioReport:
         return f"{self.ratio[0]}:{self.ratio[1]}"
 
 
-def _walk_tape(tape: Tape, trunk_prefix: str = "stage"):
+def _walk_tape(tape: Tape):
     n_conv = n_relu = flops_relu = 0
     regions = {}
     for node in tape.nodes:
@@ -55,7 +55,7 @@ def _walk_tape(tape: Tape, trunk_prefix: str = "stage"):
             continue
         # trunk = module convs/ReLUs inside the staged blocks; projection
         # shortcuts are cost (FLOPs/params) but not part of the N:M policy
-        in_trunk = node.scope.startswith(trunk_prefix) and ".skip" not in node.scope
+        in_trunk = node.scope.startswith("stage") and ".skip" not in node.scope
         region = regions.setdefault(node.scope.split(".")[0], [0, 0, 0])
         if node.kind == "conv2d":
             o, c, kh, kw = node.meta["kernel_shape"]

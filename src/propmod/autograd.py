@@ -179,13 +179,16 @@ class Tape:
 
     def relu(self, x: Node) -> Node:
         xd = x.value.data
+        out = kernels.relu(xd)
+        if not self.training:
+            return self.record("relu", (x,), Tensor(out), None)
         mask = xd > 0  # subgradient at exactly 0 is 0
-        out = np.where(mask, xd, xd.dtype.type(0))
 
         def grad_fn(g):
+            # not g * mask: that gives -0.0 or NaN at masked slots
             return (np.where(mask, g, g.dtype.type(0)),)
 
-        return self.record("relu", (x,), Tensor(out), grad_fn if self.training else None)
+        return self.record("relu", (x,), Tensor(out), grad_fn)
 
     def add(self, a: Node, b: Node) -> Node:
         out = kernels.add(a.value.data, b.value.data)

@@ -14,8 +14,13 @@ Mask position conventions (position i belongs to conv i):
     position ``conv_count - 1`` is the ReLU after the skip addition);
   * pre pairing: the BN -> ReLU pair preceding conv i.
 
-Merge-and-run blocks carry two residual branches whose skip connections
-are averaged and redistributed; ``relu_mask`` describes the edited branch
+One :class:`Block` class runs every family. Its conv branch walks the convs
+in pre-activation order (BN -> ReLU -> conv) or post-activation order
+(conv -> BN -> ReLU); the two differ only in that order. Residual families
+add a skip, an identity or a 1x1 projection (with its own BN for post
+pairing), and a post-activation branch applies its last ReLU after that
+addition. Merge-and-run blocks carry two such branches whose inputs are
+averaged into one shared skip; ``relu_mask`` describes the edited branch
 (index 0) and ``relu_mask_b`` the untouched one.
 """
 
@@ -150,10 +155,21 @@ class BlockSpec:
                        stride=stride, mid_channels=mid_channels or self.mid_channels)
 
 
-def _bn_mask_for(relu_mask, drop_bn_with_relu: bool) -> tuple:
-    if drop_bn_with_relu:
-        return tuple(relu_mask)
-    return tuple(True for _ in relu_mask)
+def _spec(family: str, masks: dict, removal, drop_bn_with_relu: bool,
+          allowed: str | None = None, **fields) -> BlockSpec:
+    """The spec whose ``relu_mask`` is ``masks[removal]``; ``bn_mask`` follows it
+    under ``drop_bn_with_relu``. A merge-and-run spec gets a paired branch 2."""
+    if removal not in masks:
+        raise ValueError(f"{allowed or f'removal must be one of {sorted(masks)}'}, got {removal!r}")
+
+    def bn_mask(relu_mask):
+        return relu_mask if drop_bn_with_relu else (True,) * len(relu_mask)
+
+    relu_mask = masks[removal]
+    if family == "dfn-merge-run":
+        fields.update(relu_mask_b=(True, True), bn_mask_b=bn_mask((True, True)))
+    return BlockSpec(family=family, conv_count=len(relu_mask), relu_mask=relu_mask,
+                     bn_mask=bn_mask(relu_mask), **fields)
 
 
 def build_plain_module(ratio, pairing: str = "post", *, in_channels: int = 16,
@@ -162,10 +178,10 @@ def build_plain_module(ratio, pairing: str = "post", *, in_channels: int = 16,
     """N:M conv:ReLU stack for plain networks.
 
     The 2:1 module keeps only the trailing ReLU of each conv pair; in
-    general the first N-M positions of the reduced ratio lose theirs. The
-    paired 1:1 module is realized as the conventional two-conv stack with
-    both ReLUs present. M = 0 is the degenerate all-linear stack and is
-    rejected unless explicitly allowed.
+    general the first N-M positions of the reduced ratio lose theirs. A
+    reduced N of 1 is realized as two convs (2:2M): the paired 1:1 module is
+    the conventional two-conv stack with both ReLUs present. M = 0 is the
+    degenerate all-linear stack and is rejected unless explicitly allowed.
     """
     n, m = parse_ratio(ratio)
     if not (n >= m >= 0):
@@ -180,22 +196,11 @@ def build_plain_module(ratio, pairing: str = "post", *, in_channels: int = 16,
         )
     n, m = reduce_ratio(n, m)
     if n == 1:
-        conv_count, relus = 2, (m == 1) * 2
-        mask = (True,) * relus + (False,) * (2 - relus)
-    else:
-        conv_count = n
-        mask = (False,) * (n - m) + (True,) * m
-    return BlockSpec(
-        family="plain-stack",
-        conv_count=conv_count,
-        relu_mask=mask,
-        bn_mask=_bn_mask_for(mask, drop_bn_with_relu),
-        pairing=pairing,
-        in_channels=in_channels,
-        out_channels=out_channels,
-        stride=stride,
-        linear_ok=linear_ok,
-    )
+        n, m = 2, 2 * m
+    mask = (False,) * (n - m) + (True,) * m
+    return _spec("plain-stack", {(n, m): mask}, (n, m), drop_bn_with_relu, pairing=pairing,
+                 in_channels=in_channels, out_channels=out_channels, stride=stride,
+                 linear_ok=linear_ok)
 
 
 _BUILDING_MASKS = {"none": (True, True), "first": (False, True), "second": (True, False)}
@@ -209,19 +214,9 @@ def build_preact_building(removal: str = "none", *, in_channels: int = 16,
     ``removal='first'`` deletes the ReLU ahead of conv 1 (the 2:1 variant),
     ``'second'`` the one ahead of conv 2.
     """
-    if removal not in _BUILDING_MASKS:
-        raise ValueError(f"removal must be one of {sorted(_BUILDING_MASKS)}, got {removal!r}")
-    mask = _BUILDING_MASKS[removal]
-    return BlockSpec(
-        family="resnet-preact-building",
-        conv_count=2,
-        relu_mask=mask,
-        bn_mask=_bn_mask_for(mask, drop_bn_with_relu),
-        pairing="pre",
-        in_channels=in_channels,
-        out_channels=out_channels,
-        stride=stride,
-    )
+    return _spec("resnet-preact-building", _BUILDING_MASKS, removal, drop_bn_with_relu,
+                 pairing="pre", in_channels=in_channels, out_channels=out_channels,
+                 stride=stride)
 
 
 def build_postact_building(removal: str = "none", *, in_channels: int = 16,
@@ -232,19 +227,12 @@ def build_postact_building(removal: str = "none", *, in_channels: int = 16,
     Position 0 is the mid-block ReLU, position 1 the ReLU after the skip
     addition; either may be removed.
     """
-    if removal not in _BUILDING_MASKS:
-        raise ValueError(f"removal must be one of {sorted(_BUILDING_MASKS)}, got {removal!r}")
-    mask = _BUILDING_MASKS[removal]
-    return BlockSpec(
-        family="resnet-building",
-        conv_count=2,
-        relu_mask=mask,
-        bn_mask=_bn_mask_for(mask, drop_bn_with_relu),
-        pairing="post",
-        in_channels=in_channels,
-        out_channels=out_channels,
-        stride=stride,
-    )
+    return _spec("resnet-building", _BUILDING_MASKS, removal, drop_bn_with_relu,
+                 pairing="post", in_channels=in_channels, out_channels=out_channels,
+                 stride=stride)
+
+
+_BOTTLENECK_MASKS = {t: tuple(i != t - 1 for i in range(3)) for t in range(4)}
 
 
 def build_preact_bottleneck(removal_type: int = 0, *, in_channels: int = 16,
@@ -255,20 +243,10 @@ def build_preact_bottleneck(removal_type: int = 0, *, in_channels: int = 16,
     ``removal_type`` 0 keeps all three ReLUs (1:1); types 1-3 remove the
     first, second, or third, giving the 3:2 variants.
     """
-    if removal_type not in (0, 1, 2, 3):
-        raise ValueError(f"removal_type must be 0..3, got {removal_type}")
-    mask = tuple(i != removal_type - 1 for i in range(3))
-    return BlockSpec(
-        family="resnet-preact-bottleneck",
-        conv_count=3,
-        relu_mask=mask,
-        bn_mask=_bn_mask_for(mask, drop_bn_with_relu),
-        pairing="pre",
-        in_channels=in_channels,
-        out_channels=out_channels,
-        mid_channels=mid_channels,
-        stride=stride,
-    )
+    return _spec("resnet-preact-bottleneck", _BOTTLENECK_MASKS, removal_type,
+                 drop_bn_with_relu, "removal_type must be 0..3", pairing="pre",
+                 in_channels=in_channels, out_channels=out_channels,
+                 mid_channels=mid_channels, stride=stride)
 
 
 _MERGE_RUN_MASKS = {"none": (True, True), "type1": (True, False), "type2": (False, True)}
@@ -284,205 +262,97 @@ def build_merge_run(removal: str = "none", *, in_channels: int = 16,
     elementwise add in branch 0; ``type2`` removes the one before it (the
     mid-branch ReLU). Branch 1 always stays paired.
     """
-    if removal not in _MERGE_RUN_MASKS:
-        raise ValueError(f"removal must be one of {sorted(_MERGE_RUN_MASKS)}, got {removal!r}")
-    mask = _MERGE_RUN_MASKS[removal]
-    paired = (True, True)
-    return BlockSpec(
-        family="dfn-merge-run",
-        conv_count=2,
-        relu_mask=mask,
-        bn_mask=_bn_mask_for(mask, drop_bn_with_relu),
-        pairing="post",
-        in_channels=in_channels,
-        out_channels=out_channels,
-        stride=stride,
-        relu_mask_b=paired,
-        bn_mask_b=_bn_mask_for(paired, drop_bn_with_relu),
-    )
+    return _spec("dfn-merge-run", _MERGE_RUN_MASKS, removal, drop_bn_with_relu,
+                 pairing="post", in_channels=in_channels, out_channels=out_channels,
+                 stride=stride)
 
 
 # -- forward assembly ---------------------------------------------------------
 
 
 class _Branch:
-    """conv/BN/ReLU chain for one mask, shared by all single-path families."""
+    """One conv chain under one mask, walked in pre- or post-activation order."""
 
-    def __init__(self, store, name, spec: BlockSpec, relu_mask, bn_mask, seed,
-                 kernel_sizes, channel_chain, stride_position):
-        self.name = name
+    def __init__(self, store, name, spec: BlockSpec, relu_mask, bn_mask, seed):
+        self.pre = spec.pairing == "pre"
         self.relu_mask = relu_mask
-        self.convs = []
-        self.bns = []
-        for i in range(spec.conv_count):
-            stride = spec.stride if i == stride_position else 1
-            self.convs.append(Conv2d(store, f"{name}.conv{i + 1}", channel_chain[i],
-                                     channel_chain[i + 1], kernel_sizes[i], stride=stride, seed=seed))
-            if spec.pairing == "pre":
-                bn_channels = channel_chain[i]
-            else:
-                bn_channels = channel_chain[i + 1]
-            self.bns.append(BatchNorm2d(store, f"{name}.bn{i + 1}", bn_channels)
-                            if bn_mask[i] else None)
+        if spec.family == "resnet-preact-bottleneck":
+            mid = spec.mid_channels if spec.mid_channels is not None else spec.out_channels // 4
+            chain, sizes = (spec.in_channels, mid, mid, spec.out_channels), (1, 3, 1)
+        else:
+            chain = (spec.in_channels,) + (spec.out_channels,) * spec.conv_count
+            sizes = (3,) * spec.conv_count
+        self.layers = []
+        for i, size in enumerate(sizes):
+            # the first 3x3 conv takes the stride: the only one, or the bottleneck's middle
+            stride = spec.stride if i == sizes.index(3) else 1
+            conv = Conv2d(store, f"{name}.conv{i + 1}", chain[i], chain[i + 1], size,
+                          stride=stride, seed=seed)
+            # pre-activation normalizes the conv's input, post-activation its output
+            bn = (BatchNorm2d(store, f"{name}.bn{i + 1}", chain[i if self.pre else i + 1])
+                  if bn_mask[i] else None)
+            self.layers.append((conv, bn))
 
-    def pre_step(self, tape, x, i):
-        if self.bns[i] is not None:
-            x = self.bns[i](tape, x)
-        if self.relu_mask[i]:
-            x = tape.relu(x)
-        return self.convs[i](tape, x)
-
-    def post_step(self, tape, x, i, defer_relu=False):
-        x = self.convs[i](tape, x)
-        if self.bns[i] is not None:
-            x = self.bns[i](tape, x)
-        if self.relu_mask[i] and not defer_relu:
-            x = tape.relu(x)
+    def __call__(self, tape: Tape, x, skip=None):
+        """Walk the convs, then add ``skip()`` if given; a post-activation
+        branch applies its last ReLU after that addition."""
+        last = len(self.layers) - 1
+        deferred = skip is not None and not self.pre
+        for i, (conv, bn) in enumerate(self.layers):
+            if not self.pre:
+                x = conv(tape, x)
+            if bn is not None:
+                x = bn(tape, x)
+            if self.relu_mask[i] and not (deferred and i == last):
+                x = tape.relu(x)
+            if self.pre:
+                x = conv(tape, x)
+        if skip is not None:
+            x = tape.add(x, skip())
+            if deferred and self.relu_mask[last]:
+                x = tape.relu(x)
         return x
 
 
-def _channel_chain(spec: BlockSpec):
-    if spec.family == "resnet-preact-bottleneck":
-        mid = spec.mid_channels if spec.mid_channels is not None else spec.out_channels // 4
-        return (spec.in_channels, mid, mid, spec.out_channels)
-    chain = [spec.in_channels] + [spec.out_channels] * spec.conv_count
-    return tuple(chain)
-
-
-def _kernel_sizes(spec: BlockSpec):
-    if spec.family == "resnet-preact-bottleneck":
-        return (1, 3, 1)
-    return (3,) * spec.conv_count
-
-
-class PlainStack:
-    """Straight conv stack, no skip; the module the plain networks tile."""
+class Block:
+    """Any family: one conv branch (two for merge-and-run), plus a residual skip."""
 
     def __init__(self, store: ParamStore, name: str, spec: BlockSpec, seed: int = 0):
         self.name = name
         self.spec = spec
-        self.branch = _Branch(store, name, spec, spec.relu_mask, spec.bn_mask, seed,
-                              _kernel_sizes(spec), _channel_chain(spec), stride_position=0)
+        masks = [(spec.relu_mask, spec.bn_mask), (spec.relu_mask_b, spec.bn_mask_b)]
+        if spec.family == "dfn-merge-run":
+            self.branches = [_Branch(store, f"{name}.branch{k}", spec, *pair, seed)
+                             for k, pair in enumerate(masks, 1)]
+        else:
+            self.branches = [_Branch(store, name, spec, *masks[0], seed)]
+        self.residual = spec.family != "plain-stack"
+        self.proj = self.proj_bn = None
+        if self.residual and (spec.stride != 1 or spec.in_channels != spec.out_channels):
+            self.proj = Conv2d(store, f"{name}.proj", spec.in_channels, spec.out_channels,
+                               kernel_size=1, stride=spec.stride, seed=seed)
+            if spec.pairing == "post":
+                self.proj_bn = BatchNorm2d(store, f"{name}.proj_bn", spec.out_channels)
 
-    def __call__(self, tape: Tape, x):
-        with tape.scope(self.name):
-            for i in range(self.spec.conv_count):
-                if self.spec.pairing == "pre":
-                    x = self.branch.pre_step(tape, x, i)
-                else:
-                    x = self.branch.post_step(tape, x, i)
-        return x
-
-
-class _Shortcut:
-    """Identity, or a 1x1 projection conv when shape changes."""
-
-    def __init__(self, store, name, in_channels, out_channels, stride, seed, with_bn):
-        self.proj = None
-        self.bn = None
-        if stride != 1 or in_channels != out_channels:
-            self.proj = Conv2d(store, f"{name}.proj", in_channels, out_channels,
-                               kernel_size=1, stride=stride, padding=0, seed=seed)
-            if with_bn:
-                self.bn = BatchNorm2d(store, f"{name}.proj_bn", out_channels)
-
-    def __call__(self, tape, x):
+    def _skip(self, tape: Tape, x):
+        """Identity, or the 1x1 projection when the shape changes."""
         if self.proj is None:
             return x
         # scoped so ratio accounting can tell skip plumbing from module convs
         with tape.scope("skip"):
             x = self.proj(tape, x)
-            if self.bn is not None:
-                x = self.bn(tape, x)
-        return x
-
-
-class PreActBuilding:
-    stride_position = 0
-
-    def __init__(self, store: ParamStore, name: str, spec: BlockSpec, seed: int = 0):
-        self.name = name
-        self.spec = spec
-        self.branch = _Branch(store, name, spec, spec.relu_mask, spec.bn_mask, seed,
-                              _kernel_sizes(spec), _channel_chain(spec),
-                              stride_position=self.stride_position)
-        self.shortcut = _Shortcut(store, name, spec.in_channels, spec.out_channels,
-                                  spec.stride, seed, with_bn=False)
+            return x if self.proj_bn is None else self.proj_bn(tape, x)
 
     def __call__(self, tape: Tape, x):
         with tape.scope(self.name):
-            h = x
-            for i in range(self.spec.conv_count):
-                h = self.branch.pre_step(tape, h, i)
-            return tape.add(h, self.shortcut(tape, x))
+            if len(self.branches) == 2:
+                # merge-and-run: the averaged inputs make one skip shared by both branches
+                skip = self._skip(tape, tape.scale(tape.add(*x), 0.5))
+                return tuple(branch(tape, xi, lambda: skip)
+                             for branch, xi in zip(self.branches, x))
+            skip = (lambda: self._skip(tape, x)) if self.residual else None
+            return self.branches[0](tape, x, skip)
 
 
-class PreActBottleneck(PreActBuilding):
-    """Same pre-activation wiring, three convs with a 1x1/3x3/1x1 chain."""
-
-    stride_position = 1  # stride lives on the 3x3 conv
-
-
-class PostActBuilding:
-    def __init__(self, store: ParamStore, name: str, spec: BlockSpec, seed: int = 0):
-        self.name = name
-        self.spec = spec
-        self.branch = _Branch(store, name, spec, spec.relu_mask, spec.bn_mask, seed,
-                              _kernel_sizes(spec), _channel_chain(spec), stride_position=0)
-        self.shortcut = _Shortcut(store, name, spec.in_channels, spec.out_channels,
-                                  spec.stride, seed, with_bn=True)
-
-    def __call__(self, tape: Tape, x):
-        with tape.scope(self.name):
-            h = self.branch.post_step(tape, x, 0)
-            h = self.branch.post_step(tape, h, 1, defer_relu=True)
-            out = tape.add(h, self.shortcut(tape, x))
-            if self.spec.relu_mask[1]:
-                out = tape.relu(out)
-        return out
-
-
-class MergeRunBlock:
-    """Two residual branches; skips are averaged and fed back to both."""
-
-    def __init__(self, store: ParamStore, name: str, spec: BlockSpec, seed: int = 0):
-        self.name = name
-        self.spec = spec
-        chain = _channel_chain(spec)
-        sizes = _kernel_sizes(spec)
-        self.branch_a = _Branch(store, f"{name}.branch1", spec, spec.relu_mask,
-                                spec.bn_mask, seed, sizes, chain, stride_position=0)
-        self.branch_b = _Branch(store, f"{name}.branch2", spec, spec.relu_mask_b,
-                                spec.bn_mask_b, seed, sizes, chain, stride_position=0)
-        self.skip = _Shortcut(store, name, spec.in_channels, spec.out_channels,
-                              spec.stride, seed, with_bn=True)
-
-    def _run_branch(self, tape, branch, x, skip):
-        h = branch.post_step(tape, x, 0)
-        h = branch.post_step(tape, h, 1, defer_relu=True)
-        out = tape.add(h, skip)
-        if branch.relu_mask[1]:
-            out = tape.relu(out)
-        return out
-
-    def __call__(self, tape: Tape, pair):
-        x_a, x_b = pair
-        with tape.scope(self.name):
-            merged = tape.scale(tape.add(x_a, x_b), 0.5)
-            skip = self.skip(tape, merged)
-            y_a = self._run_branch(tape, self.branch_a, x_a, skip)
-            y_b = self._run_branch(tape, self.branch_b, x_b, skip)
-        return y_a, y_b
-
-
-_BLOCK_CLASSES = {
-    "plain-stack": PlainStack,
-    "resnet-building": PostActBuilding,
-    "resnet-preact-building": PreActBuilding,
-    "resnet-preact-bottleneck": PreActBottleneck,
-    "dfn-merge-run": MergeRunBlock,
-}
-
-
-def make_block(store: ParamStore, name: str, spec: BlockSpec, seed: int = 0):
-    return _BLOCK_CLASSES[spec.family](store, name, spec, seed)
+def make_block(store: ParamStore, name: str, spec: BlockSpec, seed: int = 0) -> Block:
+    return Block(store, name, spec, seed)

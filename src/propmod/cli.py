@@ -10,8 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import sys
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -363,20 +367,16 @@ def cmd_sweep(args) -> int:
 
     jobs = [(base, cell, seed, args.out) for cell in cells for seed in range(repeats)]
     results, failures = {}, []
-    if args.parallel > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            futures = {pool.submit(_run_sweep_cell, job): job for job in jobs}
-            for future, job in futures.items():
-                try:
-                    name, seed, acc = future.result()
-                    results.setdefault(name, []).append((seed, acc))
-                except (Exception, SystemExit) as err:  # keep completed cells
-                    failures.append((job[1]["name"], job[2], str(err)))
-    else:
-        for job in jobs:
+    # spawned, not forked: forking a process whose BLAS threads run is unsafe
+    pool = (ProcessPoolExecutor(args.parallel, mp_context=multiprocessing.get_context("spawn"))
+            if args.parallel > 1 else None)
+    with pool or nullcontext():
+        # each run is a zero-argument call: a pool future's result, or the run itself
+        runs = ([pool.submit(_run_sweep_cell, job).result for job in jobs] if pool
+                else [partial(_run_sweep_cell, job) for job in jobs])
+        for job, run in zip(jobs, runs):
             try:
-                name, seed, acc = _run_sweep_cell(job)
+                name, seed, acc = run()
                 results.setdefault(name, []).append((seed, acc))
             except (Exception, SystemExit) as err:  # keep completed cells
                 failures.append((job[1]["name"], job[2], str(err)))

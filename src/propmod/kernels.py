@@ -137,7 +137,8 @@ def conv2d_naive(x: np.ndarray, kernel: np.ndarray, stride: int = 1, padding: in
 
 
 def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, x.dtype.type(0))
+    """max(x, 0), with NaN mapped to 0 (``fmax`` ignores a NaN operand)."""
+    return np.fmax(x, x.dtype.type(0))
 
 
 def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:

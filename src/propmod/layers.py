@@ -31,10 +31,10 @@ class Conv2d:
     """3x3 (or 1x1) convolution, no bias; He fan-in normal init."""
 
     def __init__(self, store: ParamStore, name: str, in_channels: int, out_channels: int,
-                 kernel_size: int = 3, stride: int = 1, padding: int | None = None, seed: int = 0):
+                 kernel_size: int = 3, stride: int = 1, seed: int = 0):
         self.name = name
         self.stride = stride
-        self.padding = kernel_size // 2 if padding is None else padding
+        self.padding = kernel_size // 2
         self.kernel_size = kernel_size
         shape = (out_channels, in_channels, kernel_size, kernel_size)
         fan_in = in_channels * kernel_size * kernel_size
@@ -59,7 +59,6 @@ class BatchNormState:
     running_mean: np.ndarray
     running_var: np.ndarray
     epsilon: float = BN_EPSILON
-    momentum: float = BN_MOMENTUM
 
     def __post_init__(self):
         c = self.gamma.shape
@@ -132,12 +131,9 @@ class BatchNorm2d:
     no backward.
     """
 
-    def __init__(self, store: ParamStore, name: str, channels: int,
-                 epsilon: float = BN_EPSILON, momentum: float = BN_MOMENTUM):
+    def __init__(self, store: ParamStore, name: str, channels: int):
         self.name = name
         self.channels = channels
-        self.epsilon = epsilon
-        self.momentum = momentum
         self.store = store
         dt = store.dtype
         store.register(name + ".gamma", np.ones(channels, dtype=dt))
@@ -152,8 +148,6 @@ class BatchNorm2d:
             beta=s[self.name + ".beta"].value.data.copy(),
             running_mean=s[self.name + ".running_mean"].value.data.copy(),
             running_var=s[self.name + ".running_var"].value.data.copy(),
-            epsilon=self.epsilon,
-            momentum=self.momentum,
         )
 
     def __call__(self, tape: Tape, x: Node) -> Node:
@@ -165,8 +159,8 @@ class BatchNorm2d:
                 f"{self.name}: expected NCHW input with {self.channels} channels, got shape {xd.shape}"
             )
         if tape.training:
-            y, cache, mean, var = batchnorm_train(xd, gd, bd, self.epsilon)
-            mom = xd.dtype.type(self.momentum)
+            y, cache, mean, var = batchnorm_train(xd, gd, bd, BN_EPSILON)
+            mom = xd.dtype.type(BN_MOMENTUM)
             m = xd.shape[0] * xd.shape[2] * xd.shape[3]
             unbiased = var * (m / (m - 1))
             rm = self.store[self.name + ".running_mean"].value.data
@@ -182,7 +176,7 @@ class BatchNorm2d:
 
         rm = self.store[self.name + ".running_mean"].value.data
         rv = self.store[self.name + ".running_var"].value.data
-        y = batchnorm_eval(xd, gd, bd, rm, rv, self.epsilon)
+        y = batchnorm_eval(xd, gd, bd, rm, rv, BN_EPSILON)
         return tape.record("batchnorm", (x, g, b), Tensor(y), None, meta={"mode": "eval"})
 
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from propmod import NetworkConfig, ParamStore, ShapeError, Tensor, build_network, gradcheck
+from propmod import (NetworkConfig, ParamStore, ShapeError, Tensor, build_network, gradcheck,
+                     kernels)
 from propmod.autograd import Tape, seeded_rng
 from propmod.blocks import build_preact_building, make_block
 from propmod.layers import softmax_cross_entropy
@@ -112,6 +113,23 @@ class TestEvalTape:
         tape = Tape(make_store({}))
         tape.relu(tape.constant(Tensor(x)))
         np.testing.assert_array_equal(tape.relu_signature()[0], x > 0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_kernel_and_tape_agree_bytewise(self, dtype):
+        tiny = np.finfo(dtype).smallest_subnormal
+        x = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny, 2.5, -2.5],
+                     dtype=dtype)
+        tape = Tape(make_store({}))
+        out = tape.relu(tape.constant(Tensor(x))).value.data
+        reference = np.where(x > 0, x, dtype(0))  # NaN and -0.0 both map to +0.0
+        assert kernels.relu(x).tobytes() == out.tobytes() == reference.tobytes()
+
+    def test_relu_backward_is_positive_zero_at_masked_slots(self):
+        x = np.array([-1.0, 0.0, np.nan, -np.nan, 2.0])
+        g = np.array([-3.0, np.nan, -np.inf, -0.0, 4.0])
+        tape = Tape(make_store({}))
+        (dx,) = tape.relu(tape.constant(Tensor(x))).grad_fn(g)
+        assert dx.tobytes() == np.array([0.0, 0.0, 0.0, 0.0, 4.0]).tobytes()
 
 
 class TestGradcheck:

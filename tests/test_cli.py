@@ -224,6 +224,19 @@ class TestSweepCommand:
             assert std == pytest.approx(np.std(finals), abs=1e-6)
         assert "winner:" in capsys.readouterr().out
 
+    def test_parallel_sweep_matches_serial(self, tmp_path):
+        spec = self.write_spec(tmp_path, [
+            {"name": "paired", "arch": "plain", "depth": 8},
+            {"name": "prop", "arch": "plain", "depth": 8, "ratio": "2:1"},
+        ])
+        for parallel in ("1", "2"):
+            out = tmp_path / f"out{parallel}"
+            assert main(["sweep", str(spec), "--out", str(out), "--parallel", parallel]) == 0
+        # the runs' own curves carry the train loss to 8 digits
+        for rel in ["results.csv"] + [f"{cell}/seed{seed}/curves.csv"
+                                      for cell in ("paired", "prop") for seed in (0, 1)]:
+            assert (tmp_path / "out2" / rel).read_bytes() == (tmp_path / "out1" / rel).read_bytes()
+
     def test_single_repeat_zero_std(self, tmp_path):
         spec = self.write_spec(tmp_path, [{"name": "one", "arch": "plain", "depth": 8}],
                                repeats=1)
