@@ -11,6 +11,12 @@ only for it (the ReLU mask, BN's normalized input) pass no ``grad_fn``, and
 
 ``gradcheck`` is the finite-difference referee: central differences on a
 seeded sample of coordinates per parameter tensor, run in double precision.
+Its perturbed evaluations run on tapes made with ``resume=(base_tape,
+param_name)``. A builder that reads it (``Model.forward_on``, so every
+``Model.loss_builder``) re-runs only the blocks from the one that owns the
+perturbed parameter, starting from that block's input as the base forward
+recorded it; a hand-written builder ignores it and runs in full. Either way
+a resumed tape stages no batch-norm running statistics.
 """
 
 from __future__ import annotations
@@ -117,9 +123,14 @@ class Node:
 class Tape:
     """Dynamic computation graph, rebuilt on every forward pass."""
 
-    def __init__(self, params: Optional[ParamStore] = None, training: bool = True):
+    def __init__(self, params: Optional[ParamStore] = None, training: bool = True,
+                 resume: Optional[tuple] = None):
         self.params = params
         self.training = training
+        # (base tape, perturbed parameter name): set only by gradcheck
+        self.resume = resume
+        # one dict per Model.forward_on call: stem, block and head name -> its input
+        self.block_inputs: list[dict] = []
         self.nodes: list[Node] = []
         self.staged_updates: list[tuple[str, np.ndarray]] = []
         self._scope: list[str] = []
@@ -321,6 +332,14 @@ def gradcheck(loss_builder: Callable[[Tape], Node], params: ParamStore,
     of a ReLU kink are skipped: the two-sided difference is meaningless
     across the non-differentiable point.
 
+    Each perturbed evaluation gets a tape with ``resume=(base_tape, name)``.
+    ``Model.loss_builder`` then starts the forward at the block that owns
+    ``name``, from the input the base forward recorded for it, since the
+    blocks before it do not read the parameter; builders that never read
+    ``tape.resume`` run the whole forward. The ReLU signatures compared
+    are those of the re-run suffix: the skipped prefix holds the same bytes
+    at +eps and -eps, so the skip decisions are those of full forwards.
+
     A coordinate whose two gradients agree within ``atol`` absolute counts
     as passing before the relative comparison: central differences of an
     O(1) loss carry about 1e-12..1e-11 of rounding noise at eps=1e-5, so a
@@ -343,7 +362,7 @@ def gradcheck(loss_builder: Callable[[Tape], Node], params: ParamStore,
         perturbed[idx] += delta
         params.set_value(name, perturbed)
         try:
-            tape = Tape(params, training=True)
+            tape = Tape(params, training=True, resume=(base_tape, name))
             value = float(loss_builder(tape).value.data)
             return value, tape.relu_signature()
         finally:

@@ -126,7 +126,8 @@ class BatchNorm2d:
 
     Training mode normalizes by batch statistics and stages a running-stat
     update on the tape; nothing is written until the trainer commits the
-    step, which keeps forward passes pure. Eval mode normalizes by the
+    step, which keeps forward passes pure. A resumed tape (a ``gradcheck``
+    evaluation, never committed) stages nothing. Eval mode normalizes by the
     stored running statistics, a fixed per-channel affine map, and records
     no backward.
     """
@@ -160,13 +161,14 @@ class BatchNorm2d:
             )
         if tape.training:
             y, cache, mean, var = batchnorm_train(xd, gd, bd, BN_EPSILON)
-            mom = xd.dtype.type(BN_MOMENTUM)
-            m = xd.shape[0] * xd.shape[2] * xd.shape[3]
-            unbiased = var * (m / (m - 1))
-            rm = self.store[self.name + ".running_mean"].value.data
-            rv = self.store[self.name + ".running_var"].value.data
-            tape.stage_update(self.name + ".running_mean", mom * rm + (1 - mom) * mean)
-            tape.stage_update(self.name + ".running_var", mom * rv + (1 - mom) * unbiased)
+            if tape.resume is None:
+                mom = xd.dtype.type(BN_MOMENTUM)
+                m = xd.shape[0] * xd.shape[2] * xd.shape[3]
+                unbiased = var * (m / (m - 1))
+                rm = self.store[self.name + ".running_mean"].value.data
+                rv = self.store[self.name + ".running_var"].value.data
+                tape.stage_update(self.name + ".running_mean", mom * rm + (1 - mom) * mean)
+                tape.stage_update(self.name + ".running_var", mom * rv + (1 - mom) * unbiased)
 
             def grad_fn(grad):
                 return batchnorm_train_backward(grad, cache, gd)

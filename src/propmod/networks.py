@@ -107,27 +107,56 @@ class Model:
         return self.cfg.family
 
     def forward_on(self, tape: Tape, x) -> "Node":
-        # a copy: the tape freezes what it holds, and the caller's array stays theirs
-        node = tape.constant(Tensor(np.array(x, dtype=self.store.dtype)))
+        """Logits of ``x``, recorded on ``tape``.
+
+        Each call appends to ``tape.block_inputs`` a dict from ``"stem"``,
+        every block's name (``stageS.blockB``) and ``"head"`` to the node
+        that entered it, a pair for dfn-mr1. On a tape made with
+        ``resume=(base_tape, param_name)`` (``gradcheck``'s perturbed
+        evaluations) the walk starts at the block that owns ``param_name``
+        (``head.*`` at the head), from that block's input as the same call
+        on ``base_tape`` recorded it, held as a constant: the blocks before
+        it do not read the parameter. ``stem.*`` and names that match no
+        block run the whole forward.
+        """
+        steps = [("stem", self._stem)]
+        steps += [(block.name, block) for stage in self.stages for block in stage]
+        steps.append(("head", self._head))
+        start = 0
+        if tape.resume is not None:
+            base, param_name = tape.resume
+            start = next((i for i, (name, _) in enumerate(steps)
+                          if param_name.startswith(name + ".")), 0)
+        if start == 0:
+            # a copy: the tape freezes what it holds, and the caller's array stays theirs
+            carry = tape.constant(Tensor(np.array(x, dtype=self.store.dtype)))
+        else:
+            # this call's twin on the base tape has the same ordinal
+            cached = base.block_inputs[len(tape.block_inputs)][steps[start][0]]
+            carry = (tuple(tape.constant(n.value) for n in cached) if isinstance(cached, tuple)
+                     else tape.constant(cached.value))
+        inputs = {}
+        tape.block_inputs.append(inputs)
+        for name, step in steps[start:]:
+            inputs[name] = carry
+            carry = step(tape, carry)
+        return carry
+
+    def _stem(self, tape: Tape, node):
         stem_conv, stem_bn = self.stem
         with tape.scope("stem"):
             node = stem_conv(tape, node)
             if stem_bn is not None:
                 node = stem_bn(tape, node)
                 node = tape.relu(node)
-        if self.family == "dfn-mr1":
-            pair = (node, node)
-            for stage in self.stages:
-                for block in stage:
-                    pair = block(tape, pair)
-            with tape.scope("head"):
-                node = tape.scale(tape.add(*pair), 0.5)
-        else:
-            for stage in self.stages:
-                for block in stage:
-                    node = block(tape, node)
+        # merge-and-run blocks carry a pair of streams
+        return (node, node) if self.family == "dfn-mr1" else node
+
+    def _head(self, tape: Tape, node):
         head_bn, fc = self.head
         with tape.scope("head"):
+            if isinstance(node, tuple):
+                node = tape.scale(tape.add(*node), 0.5)
             if head_bn is not None:
                 node = head_bn(tape, node)
                 node = tape.relu(node)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from propmod import (NetworkConfig, ParamStore, ShapeError, Tensor, build_network, gradcheck,
-                     kernels)
+                     kernels, layers)
 from propmod.autograd import Tape, seeded_rng
 from propmod.blocks import build_preact_building, make_block
 from propmod.layers import softmax_cross_entropy
@@ -222,3 +222,118 @@ class TestGradcheck:
         result = gradcheck(build, store, eps=1e-5)
         assert result.skipped >= 1
         assert result.max_rel_err < 1e-9
+
+
+# the acceptance oracle's nine family/removal variants, at its input shape
+ORACLE_VARIANTS = [
+    ("plain", 8, dict(ratio="1:1")),
+    ("plain", 8, dict(ratio="2:1")),
+    ("resnet-preact", 8, dict(removal="first")),
+    ("resnet-preact", 8, dict(removal="second")),
+    ("resnet-preact-bottleneck", 11, dict(removal="1")),
+    ("resnet-preact-bottleneck", 11, dict(removal="2")),
+    ("resnet-preact-bottleneck", 11, dict(removal="3")),
+    ("dfn-mr1", 8, dict(removal="type1")),
+    ("dfn-mr1", 8, dict(removal="type2")),
+]
+
+
+def oracle_case(family, depth, kw):
+    model = build_network(NetworkConfig(family=family, depth=depth, precision="double",
+                                        seed=1, **kw))
+    rng = seeded_rng(0, "acc-gradcheck", family)
+    x = rng.standard_normal((2, 3, 8, 8))
+    labels = rng.integers(0, 10, size=2)
+    return model, x, labels
+
+
+def store_bytes(store):
+    return [(name, p.value.data.tobytes()) for name, p in store.items()]
+
+
+class TestResumedGradcheck:
+    """Perturbed evaluations start at the block owning the parameter; results must not move."""
+
+    @pytest.mark.parametrize("family,depth,kw", ORACLE_VARIANTS,
+                             ids=[f"{f}-{d}-{next(iter(kw.values()))}" for f, d, kw in ORACLE_VARIANTS])
+    def test_matches_full_forwards_bitwise(self, family, depth, kw):
+        # sample=4 still reaches every parameter tensor, so every resume point runs
+        model, x, labels = oracle_case(family, depth, kw)
+        builder = model.loss_builder(x, labels)
+
+        def run(full):
+            losses = []
+
+            def build(tape):
+                if full:
+                    tape.resume = None
+                loss = builder(tape)
+                losses.append(loss.value.data.tobytes())
+                return loss
+
+            return gradcheck(build, model.store, eps=1e-5, sample=4, seed=0), losses
+
+        resumed, resumed_losses = run(full=False)
+        full, full_losses = run(full=True)
+        assert resumed_losses == full_losses
+        assert resumed == full
+
+    @pytest.mark.parametrize("family,depth,kw", [ORACLE_VARIANTS[i] for i in (0, 2, 4, 7)],
+                             ids=["plain-8", "resnet-preact-8", "bottleneck-11", "dfn-mr1-8"])
+    def test_perturbed_tapes_record_under_070_of_full_forwards(self, family, depth, kw):
+        model, x, labels = oracle_case(family, depth, kw)
+        builder = model.loss_builder(x, labels)
+        counts = []
+
+        def build(tape):
+            loss = builder(tape)
+            counts.append(len(tape.nodes))
+            return loss
+
+        gradcheck(build, model.store, eps=1e-5, sample=4, seed=0)
+        base, perturbed = counts[0], counts[1:]
+        ratio = sum(perturbed) / (len(perturbed) * base)
+        assert ratio < 0.7, f"perturbed tapes record {ratio:.2f}x of full forwards"
+
+    def test_perturbed_evaluations_stage_nothing(self):
+        model, x, labels = oracle_case("resnet-preact-bottleneck", 11, dict(removal="1"))
+        builder = model.loss_builder(x, labels)
+        tapes = []
+
+        def build(tape):
+            tapes.append(tape)
+            return builder(tape)
+
+        before = store_bytes(model.store)
+        gradcheck(build, model.store, eps=1e-5, sample=2, seed=0)
+        assert store_bytes(model.store) == before
+        base, perturbed = tapes[0], tapes[1:]
+        assert base.resume is None and base.staged_updates
+        assert all(t.resume is not None and not t.staged_updates for t in perturbed)
+
+    def test_each_forward_call_resumes_from_its_own_inputs(self):
+        # a builder may run the model twice on one tape; each call resumes from its own twin
+        model, x, labels = oracle_case("resnet-preact", 8, dict(removal="first"))
+        first, second = model.loss_builder(x, labels), model.loss_builder(x[::-1], labels[::-1])
+
+        def run(full):
+            def build(tape):
+                if full:
+                    tape.resume = None
+                return tape.add(first(tape), second(tape))
+            return gradcheck(build, model.store, eps=1e-5, sample=2, seed=0)
+
+        assert run(full=False) == run(full=True)
+
+    def test_dropped_bn_mean_term_is_caught(self, monkeypatch):
+        def backward_without_dbeta_term(grad, cache, gamma):
+            xhat, inv_std, m = cache
+            dgamma = np.einsum("nchw,nchw->c", grad, xhat)
+            dbeta = grad.sum(axis=(0, 2, 3))
+            dx = grad - xhat * (dgamma / m)[None, :, None, None]
+            return dx * (gamma * inv_std)[None, :, None, None], dgamma, dbeta
+
+        monkeypatch.setattr(layers, "batchnorm_train_backward", backward_without_dbeta_term)
+        model, x, labels = oracle_case("resnet-preact-bottleneck", 11, dict(removal="1"))
+        result = gradcheck(model.loss_builder(x, labels), model.store, eps=1e-5, seed=0)
+        assert not result.passed(1e-6), result.max_rel_err
