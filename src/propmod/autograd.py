@@ -6,8 +6,8 @@ single reverse iteration. Parameters live outside the tape in a
 :class:`ParamStore`; ``backward`` accumulates into their gradient buffers,
 so calling it twice without zeroing doubles every gradient. An eval tape
 (``training=False``) records no backward: the ops that would keep state
-only for it (the ReLU mask, BN's normalized input) pass no ``grad_fn``, and
-``backward`` on such a tape raises.
+only for it (BN's normalized input) pass no ``grad_fn``, and ``backward``
+on such a tape raises.
 
 ``gradcheck`` is the finite-difference referee: central differences on a
 seeded sample of coordinates per parameter tensor, run in double precision.
@@ -180,10 +180,11 @@ class Tape:
     def conv2d(self, x: Node, w: Node, stride: int = 1, padding: int = 0) -> Node:
         xd, wd = x.value.data, w.value.data
         out = kernels.conv2d(xd, wd, stride, padding)
+        needs_dx = x.kind != "constant"  # backward would discard it
 
         def grad_fn(g):
-            return (kernels.conv2d_input_grad(g, wd, xd.shape, stride, padding),
-                    kernels.conv2d_kernel_grad(g, xd, wd.shape, stride, padding))
+            dx = kernels.conv2d_input_grad(g, wd, xd.shape, stride, padding) if needs_dx else None
+            return (dx, kernels.conv2d_kernel_grad(g, xd, wd.shape, stride, padding))
 
         meta = {"kernel_shape": wd.shape, "out_shape": out.shape, "stride": stride, "padding": padding}
         return self.record("conv2d", (x, w), Tensor(out), grad_fn, meta=meta)
@@ -193,11 +194,15 @@ class Tape:
         out = kernels.relu(xd)
         if not self.training:
             return self.record("relu", (x,), Tensor(out), None)
-        mask = xd > 0  # subgradient at exactly 0 is 0
 
         def grad_fn(g):
-            # not g * mask: that gives -0.0 or NaN at masked slots
-            return (np.where(mask, g, g.dtype.type(0)),)
+            # Keep g's bits where out > 0 (exactly where x > 0; the
+            # subgradient at 0 is 0) and write +0.0 elsewhere. g * mask would
+            # give -0.0 or NaN at masked slots; the bit mask cannot.
+            uint = np.dtype(f"u{g.itemsize}")
+            keep = (out > 0).view(np.uint8).astype(uint)
+            np.negative(keep, out=keep)
+            return (np.bitwise_and(g.view(uint), keep, out=keep).view(g.dtype),)
 
         return self.record("relu", (x,), Tensor(out), grad_fn)
 

@@ -6,10 +6,12 @@ each image to a patch matrix of shape (C*KH*KW, OH*OW): ``im2col`` fills an
 (N, C, KH, KW, OH, OW) buffer that is that stack of matrices without a
 transpose, so one batched matrix multiply writes the NCHW output in place and
 the backward passes reuse the same layout. A 1x1, stride-1, unpadded conv's
-patch matrix is its input: ``im2col`` returns a reshaped view of ``x`` and
-``col2im`` a reshaped view of the patch gradient, with no copy and no
-scatter. ``conv2d_naive`` keeps the six-deep reference loop around as the
-test oracle for that path.
+patch matrix is its input: ``im2col`` returns a reshaped view of ``x``, with
+no copy. The input gradient of a stride-1 conv is itself a forward
+convolution, of the output gradient with the flipped, transposed kernel, so
+it runs through the same lowering; only strided convs scatter their patch
+gradient back with ``col2im``. ``conv2d_naive`` keeps the six-deep reference
+loop around as the test oracle for that path.
 """
 
 from __future__ import annotations
@@ -46,8 +48,6 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.nda
 def col2im(cols: np.ndarray, x_shape: tuple, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
     """Adjoint of ``im2col``: scatter-add patch matrices back onto the input grid."""
     n, c, h, w = x_shape
-    if kh == kw == stride == 1 and padding == 0:
-        return cols.reshape(x_shape)
     oh = conv_out_extent(h, kh, stride, padding)
     ow = conv_out_extent(w, kw, stride, padding)
     cols = cols.reshape(n, c, kh, kw, oh, ow)
@@ -78,8 +78,8 @@ def _check_conv_shapes(x: np.ndarray, kernel: np.ndarray):
 def conv2d(x: np.ndarray, kernel: np.ndarray, stride: int = 1, padding: int = 0) -> np.ndarray:
     """Cross-correlation with zero padding, via im2col + matmul."""
     _check_conv_shapes(x, kernel)
-    n, _, h, w = x.shape
-    o, c, kh, kw = kernel.shape
+    _, _, h, w = x.shape
+    _, _, kh, kw = kernel.shape
     oh = conv_out_extent(h, kh, stride, padding)
     ow = conv_out_extent(w, kw, stride, padding)
     if oh < 1 or ow < 1:
@@ -87,6 +87,14 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, stride: int = 1, padding: int = 0)
             f"conv2d output collapses: input {x.shape}, kernel {kernel.shape}, "
             f"stride {stride}, padding {padding}"
         )
+    return _lowered_conv(x, kernel, stride, padding, oh, ow)
+
+
+def _lowered_conv(x: np.ndarray, kernel: np.ndarray, stride: int, padding: int,
+                  oh: int, ow: int) -> np.ndarray:
+    """im2col + one batched GEMM into a fresh NCHW array; shapes already checked."""
+    n = x.shape[0]
+    o, c, kh, kw = kernel.shape
     cols = im2col(x, kh, kw, stride, padding)
     out = np.empty((n, o, oh, ow), dtype=x.dtype)
     np.matmul(kernel.reshape(o, c * kh * kw), cols, out=out.reshape(n, o, oh * ow))
@@ -97,6 +105,13 @@ def conv2d_input_grad(grad_out: np.ndarray, kernel: np.ndarray, x_shape: tuple,
                       stride: int, padding: int) -> np.ndarray:
     n, o, oh, ow = grad_out.shape
     _, c, kh, kw = kernel.shape
+    if stride == 1 and kh == kw and padding < kh:
+        # The adjoint of a stride-1 correlation is a full correlation of
+        # grad_out with the kernel flipped in space and transposed in
+        # channels. At padding >= k the complementary padding k-1-p would be
+        # negative, so those convs scatter like the strided ones.
+        flipped = np.ascontiguousarray(kernel.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+        return _lowered_conv(grad_out, flipped, 1, kh - 1 - padding, x_shape[2], x_shape[3])
     cols_grad = kernel.reshape(o, c * kh * kw).T @ grad_out.reshape(n, o, oh * ow)
     return col2im(cols_grad, x_shape, kh, kw, stride, padding)
 

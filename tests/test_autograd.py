@@ -124,12 +124,13 @@ class TestEvalTape:
         reference = np.where(x > 0, x, dtype(0))  # NaN and -0.0 both map to +0.0
         assert kernels.relu(x).tobytes() == out.tobytes() == reference.tobytes()
 
-    def test_relu_backward_is_positive_zero_at_masked_slots(self):
-        x = np.array([-1.0, 0.0, np.nan, -np.nan, 2.0])
-        g = np.array([-3.0, np.nan, -np.inf, -0.0, 4.0])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_backward_is_positive_zero_at_masked_slots(self, dtype):
+        x = np.array([-1.0, 0.0, np.nan, -np.nan, 2.0], dtype=dtype)
+        g = np.array([-3.0, np.nan, -np.inf, -0.0, 4.0], dtype=dtype)
         tape = Tape(make_store({}))
         (dx,) = tape.relu(tape.constant(Tensor(x))).grad_fn(g)
-        assert dx.tobytes() == np.array([0.0, 0.0, 0.0, 0.0, 4.0]).tobytes()
+        assert dx.tobytes() == np.array([0.0, 0.0, 0.0, 0.0, 4.0], dtype=dtype).tobytes()
 
 
 class TestGradcheck:
@@ -337,3 +338,54 @@ class TestResumedGradcheck:
         model, x, labels = oracle_case("resnet-preact-bottleneck", 11, dict(removal="1"))
         result = gradcheck(model.loss_builder(x, labels), model.store, eps=1e-5, seed=0)
         assert not result.passed(1e-6), result.max_rel_err
+
+
+def count_calls(monkeypatch, module, *names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(module, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def training_batch(family):
+    rng = seeded_rng(0, "conv-backward-work", family)
+    return rng.standard_normal((2, 3, 8, 8)).astype(np.float32), rng.integers(0, 10, size=2)
+
+
+class TestConvBackwardWork:
+    """Stride-1 input gradients run as forward convs; the scatter is left to strided convs."""
+
+    @pytest.mark.parametrize("family", ["plain", "resnet-preact"])
+    def test_only_strided_convs_scatter(self, family, monkeypatch):
+        calls = count_calls(monkeypatch, kernels, "col2im", "conv2d_input_grad")
+        model = build_network(NetworkConfig(family=family, depth=8, seed=1))
+        loss, _, tape = model.loss(*training_batch(family))
+        convs = [n for n in tape.nodes if n.kind == "conv2d"]
+        strided = [n for n in convs if n.meta["stride"] > 1]
+        tape.backward(loss)
+        assert strided and calls["col2im"] == len(strided)
+        # every conv but the stem, whose input is the image
+        assert convs[0].inputs[0].kind == "constant"
+        assert calls["conv2d_input_grad"] == len(convs) - 1
+
+    def test_skipped_image_gradient_leaves_parameter_gradients_alone(self, monkeypatch):
+        model = build_network(NetworkConfig(family="plain", depth=8, seed=1))
+        x, labels = training_batch("plain")
+
+        def param_grads():
+            model.store.zero_grads()
+            loss, _, tape = model.loss(x, labels)
+            tape.backward(loss)
+            return [(name, p.grad.tobytes()) for name, p in model.store.items()]
+
+        skipped = param_grads()
+        # record the image under another kind, so the stem conv computes its input gradient
+        monkeypatch.setattr(Tape, "constant", lambda self, data: self.record("image", (), data, None))
+        calls = count_calls(monkeypatch, kernels, "conv2d_input_grad")
+        forced = param_grads()
+        convs = sum(n.kind == "conv2d" for n in model.loss(x, labels)[2].nodes)
+        assert calls["conv2d_input_grad"] == convs
+        assert forced == skipped
