@@ -5,9 +5,9 @@ order, which is already a topological order, so the backward sweep is a
 single reverse iteration. Parameters live outside the tape in a
 :class:`ParamStore`; ``backward`` accumulates into their gradient buffers,
 so calling it twice without zeroing doubles every gradient. An eval tape
-(``training=False``) records no backward: the ops that would keep state
-only for it (BN's normalized input) pass no ``grad_fn``, and ``backward``
-on such a tape raises.
+(``training=False``) records no backward: every op passes no ``grad_fn``,
+so nothing is kept only for it (BN's normalized input, the softmax), and
+``backward`` on such a tape raises.
 
 ``gradcheck`` is the finite-difference referee: central differences on a
 seeded sample of coordinates per parameter tensor, run in double precision.
@@ -183,11 +183,11 @@ class Tape:
         needs_dx = x.kind != "constant"  # backward would discard it
 
         def grad_fn(g):
-            dx = kernels.conv2d_input_grad(g, wd, xd.shape, stride, padding) if needs_dx else None
-            return (dx, kernels.conv2d_kernel_grad(g, xd, wd.shape, stride, padding))
+            return kernels.conv2d_backward(g, xd, wd, stride, padding, needs_dx)
 
         meta = {"kernel_shape": wd.shape, "out_shape": out.shape, "stride": stride, "padding": padding}
-        return self.record("conv2d", (x, w), Tensor(out), grad_fn, meta=meta)
+        return self.record("conv2d", (x, w), Tensor(out), grad_fn if self.training else None,
+                           meta=meta)
 
     def relu(self, x: Node) -> Node:
         xd = x.value.data
@@ -212,7 +212,7 @@ class Tape:
         def grad_fn(g):
             return (g, g)
 
-        return self.record("add", (a, b), Tensor(out), grad_fn)
+        return self.record("add", (a, b), Tensor(out), grad_fn if self.training else None)
 
     def scale(self, x: Node, c: float) -> Node:
         xd = x.value.data
@@ -222,7 +222,7 @@ class Tape:
         def grad_fn(g):
             return (g * factor,)
 
-        return self.record("scale", (x,), Tensor(out), grad_fn)
+        return self.record("scale", (x,), Tensor(out), grad_fn if self.training else None)
 
     def global_avg_pool(self, x: Node) -> Node:
         xd = x.value.data
@@ -231,8 +231,8 @@ class Tape:
         def grad_fn(g):
             return (kernels.global_avg_pool_grad(g, xd.shape),)
 
-        return self.record("global_avg_pool", (x,), Tensor(out), grad_fn,
-                           meta={"in_shape": xd.shape})
+        return self.record("global_avg_pool", (x,), Tensor(out),
+                           grad_fn if self.training else None, meta={"in_shape": xd.shape})
 
     def flatten(self, x: Node) -> Node:
         xd = x.value.data
@@ -241,7 +241,7 @@ class Tape:
         def grad_fn(g):
             return (g.reshape(xd.shape),)
 
-        return self.record("flatten", (x,), Tensor(out), grad_fn)
+        return self.record("flatten", (x,), Tensor(out), grad_fn if self.training else None)
 
     def linear(self, x: Node, w: Node, b: Node) -> Node:
         xd, wd, bd = x.value.data, w.value.data, b.value.data
@@ -250,7 +250,7 @@ class Tape:
         def grad_fn(g):
             return (g @ wd, g.T @ xd, g.sum(axis=0))
 
-        return self.record("linear", (x, w, b), Tensor(out), grad_fn)
+        return self.record("linear", (x, w, b), Tensor(out), grad_fn if self.training else None)
 
     def sum(self, x: Node) -> Node:
         xd = x.value.data
@@ -259,7 +259,7 @@ class Tape:
         def grad_fn(g):
             return (np.full(xd.shape, g, dtype=xd.dtype),)
 
-        return self.record("sum", (x,), Tensor(out), grad_fn)
+        return self.record("sum", (x,), Tensor(out), grad_fn if self.training else None)
 
     # -- backward ------------------------------------------------------------
 

@@ -4,14 +4,18 @@ Everything here is a pure function on numpy arrays with a fixed loop nest,
 so outputs are bit-identical across runs. The production convolution lowers
 each image to a patch matrix of shape (C*KH*KW, OH*OW): ``im2col`` fills an
 (N, C, KH, KW, OH, OW) buffer that is that stack of matrices without a
-transpose, so one batched matrix multiply writes the NCHW output in place and
-the backward passes reuse the same layout. A 1x1, stride-1, unpadded conv's
-patch matrix is its input: ``im2col`` returns a reshaped view of ``x``, with
-no copy. The input gradient of a stride-1 conv is itself a forward
-convolution, of the output gradient with the flipped, transposed kernel, so
-it runs through the same lowering; only strided convs scatter their patch
-gradient back with ``col2im``. ``conv2d_naive`` keeps the six-deep reference
-loop around as the test oracle for that path.
+transpose, in one copy from a strided view of the (padded) input, so one
+batched matrix multiply writes the NCHW output in place and the backward
+passes reuse the same layout. A 1x1, stride-1, unpadded conv's patch matrix
+is its input: ``im2col`` returns a reshaped view of ``x``, with no copy.
+
+``conv2d_backward`` unfolds the output gradient of a stride-1 conv once and
+takes both gradients from it: the input gradient is a forward convolution of
+that gradient with the flipped, transposed kernel, and the kernel gradient
+is the input times the same matrix, so ``x`` is not unfolded again. Only
+strided convs scatter their patch gradient back with ``col2im`` and unfold
+``x`` for their kernel gradient. ``conv2d_naive`` keeps the six-deep
+reference loop around as the test oracle for that path.
 """
 
 from __future__ import annotations
@@ -32,16 +36,20 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.nda
         return x.reshape(n, c, h * w)
     oh = conv_out_extent(h, kh, stride, padding)
     ow = conv_out_extent(w, kw, stride, padding)
-    img = x
     if padding:
         img = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
         img[:, :, padding:padding + h, padding:padding + w] = x
+    else:
+        img = np.ascontiguousarray(x)  # the view below needs img's buffer
+    # Patch (i, j) of output pixel (y, z) is img[..., i + stride*y, j + stride*z],
+    # so all patches form one strided view of img, copied out in one pass.
+    # Built with np.ndarray rather than as_strided, whose Python overhead
+    # made 1x1 stride-2 unfolds at the oracle's shapes twice as slow.
+    sn, sc, sh, sw = img.strides
+    patches = np.ndarray((n, c, kh, kw, oh, ow), img.dtype, img, 0,
+                         (sn, sc, sh, sw, sh * stride, sw * stride))
     cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
-    for i in range(kh):
-        i_max = i + stride * oh
-        for j in range(kw):
-            j_max = j + stride * ow
-            cols[:, :, i, j, :, :] = img[:, :, i:i_max:stride, j:j_max:stride]
+    np.copyto(cols, patches)
     return cols.reshape(n, c * kh * kw, oh * ow)
 
 
@@ -96,24 +104,43 @@ def _lowered_conv(x: np.ndarray, kernel: np.ndarray, stride: int, padding: int,
     n = x.shape[0]
     o, c, kh, kw = kernel.shape
     cols = im2col(x, kh, kw, stride, padding)
-    out = np.empty((n, o, oh, ow), dtype=x.dtype)
-    np.matmul(kernel.reshape(o, c * kh * kw), cols, out=out.reshape(n, o, oh * ow))
+    return _gemm(kernel.reshape(o, c * kh * kw), cols, (n, o, oh, ow))
+
+
+def _gemm(weights: np.ndarray, cols: np.ndarray, out_shape: tuple) -> np.ndarray:
+    """A weight matrix times each image's patch matrix, into a fresh NCHW array."""
+    n, o = out_shape[:2]
+    out = np.empty(out_shape, dtype=cols.dtype)
+    np.matmul(weights, cols, out=out.reshape(n, o, -1))
     return out
+
+
+def _adjoint_is_conv(kernel_shape: tuple, stride: int, padding: int) -> bool:
+    # The adjoint of a stride-1 correlation is a full correlation of grad_out
+    # with the kernel flipped in space and transposed in channels, at padding
+    # k-1-p. At padding >= k that would be negative, so those convs scatter
+    # like the strided ones.
+    _, _, kh, kw = kernel_shape
+    return stride == 1 and kh == kw and padding < kh
+
+
+def _flipped_gemm(kernel: np.ndarray, gcols: np.ndarray, x_shape: tuple) -> np.ndarray:
+    """A stride-1 conv's input gradient from its unfolded output gradient."""
+    o, c, kh, kw = kernel.shape
+    # reshaping the flipped view copies it into a contiguous (C, O*KH*KW) matrix
+    flipped = kernel.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].reshape(c, o * kh * kw)
+    return _gemm(flipped, gcols, x_shape)
 
 
 def conv2d_input_grad(grad_out: np.ndarray, kernel: np.ndarray, x_shape: tuple,
                       stride: int, padding: int) -> np.ndarray:
     n, o, oh, ow = grad_out.shape
     _, c, kh, kw = kernel.shape
-    if stride == 1 and kh == kw and padding < kh:
-        # The adjoint of a stride-1 correlation is a full correlation of
-        # grad_out with the kernel flipped in space and transposed in
-        # channels. At padding >= k the complementary padding k-1-p would be
-        # negative, so those convs scatter like the strided ones.
-        flipped = np.ascontiguousarray(kernel.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
-        return _lowered_conv(grad_out, flipped, 1, kh - 1 - padding, x_shape[2], x_shape[3])
+    if _adjoint_is_conv(kernel.shape, stride, padding):
+        return _flipped_gemm(kernel, im2col(grad_out, kh, kh, 1, kh - 1 - padding), x_shape)
     cols_grad = kernel.reshape(o, c * kh * kw).T @ grad_out.reshape(n, o, oh * ow)
-    return col2im(cols_grad, x_shape, kh, kw, stride, padding)
+    # col2im returns the interior of its padded grid, a view
+    return np.ascontiguousarray(col2im(cols_grad, x_shape, kh, kw, stride, padding))
 
 
 def conv2d_kernel_grad(grad_out: np.ndarray, x: np.ndarray, kernel_shape: tuple,
@@ -122,7 +149,32 @@ def conv2d_kernel_grad(grad_out: np.ndarray, x: np.ndarray, kernel_shape: tuple,
     _, c, kh, kw = kernel_shape
     cols = im2col(x, kh, kw, stride, padding)
     g = grad_out.reshape(n, o, oh * ow)
-    return (g @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernel_shape)
+    return (g @ cols.transpose(0, 2, 1)).reshape(n, *kernel_shape).sum(axis=0)
+
+
+def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, kernel: np.ndarray,
+                    stride: int, padding: int, input_grad: bool) -> tuple:
+    """(dx or None, dkernel) of ``conv2d(x, kernel, stride, padding)``.
+
+    A stride-1 conv unfolds ``grad_out`` once and takes both gradients from
+    that matrix, so ``x`` is not unfolded again. Row (o, a, b) of image n's
+    matrix, at input pixel (y, z), holds grad_out[n, o, y+a-q, z+b-q] with
+    q = k-1-p, so ``x @ gcols^T`` summed over images is the kernel gradient
+    flipped in space and transposed in channels. The kernel gradient is
+    computed the same way whether or not ``dx`` is wanted. Other convs call
+    ``conv2d_input_grad`` and ``conv2d_kernel_grad``. Both results are
+    C-contiguous arrays of their own.
+    """
+    if not _adjoint_is_conv(kernel.shape, stride, padding):
+        dx = conv2d_input_grad(grad_out, kernel, x.shape, stride, padding) if input_grad else None
+        return dx, conv2d_kernel_grad(grad_out, x, kernel.shape, stride, padding)
+    n, c, h, w = x.shape
+    o, _, k, _ = kernel.shape
+    gcols = im2col(grad_out, k, k, 1, k - 1 - padding)
+    dx = _flipped_gemm(kernel, gcols, x.shape) if input_grad else None
+    flipped_grad = (x.reshape(n, c, h * w) @ gcols.transpose(0, 2, 1)).sum(axis=0)
+    dkernel = flipped_grad.reshape(c, o, k, k).transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+    return dx, dkernel.copy()
 
 
 def conv2d_naive(x: np.ndarray, kernel: np.ndarray, stride: int = 1, padding: int = 0) -> np.ndarray:

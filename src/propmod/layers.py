@@ -224,4 +224,4 @@ def softmax_cross_entropy(tape: Tape, logits: Node, labels: np.ndarray) -> Node:
         return (dz.astype(z.dtype),)
 
     return tape.record("softmax_cross_entropy", (logits,), Tensor(np.asarray(loss, dtype=z.dtype)),
-                       grad_fn, meta={"labels": labels})
+                       grad_fn if tape.training else None, meta={"labels": labels})

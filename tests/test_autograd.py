@@ -97,6 +97,15 @@ class TestEvalTape:
         kept = [n for n in tape.nodes if n.kind in ("relu", "batchnorm")]
         assert kept and all(n.grad_fn is None for n in kept)
 
+    @pytest.mark.parametrize("family,depth", [("plain", 8), ("resnet-preact", 8),
+                                              ("resnet-preact-bottleneck", 11), ("dfn-mr1", 8)])
+    def test_eval_tape_nodes_carry_no_grad_fn(self, family, depth):
+        model = build_network(NetworkConfig(family=family, depth=depth, seed=1))
+        _, _, tape = model.loss(*training_batch(family), training=False)
+        assert {"conv2d", "global_avg_pool", "flatten", "linear",
+                "softmax_cross_entropy"} <= {n.kind for n in tape.nodes}
+        assert [n.kind for n in tape.nodes if n.grad_fn is not None] == []
+
     def test_relu_signature_is_input_sign(self):
         model = tiny_resnet()
         x = seeded_rng(2, "eval-tape").standard_normal((2, 3, 8, 8)).astype(np.float32)
@@ -355,21 +364,43 @@ def training_batch(family):
     return rng.standard_normal((2, 3, 8, 8)).astype(np.float32), rng.integers(0, 10, size=2)
 
 
+def count_backward_calls(monkeypatch):
+    """conv2d_backward calls, counted by their input_grad flag."""
+    calls = {True: 0, False: 0}
+
+    def counted(*args, _original=kernels.conv2d_backward):
+        calls[args[5]] += 1
+        return _original(*args)
+
+    monkeypatch.setattr(kernels, "conv2d_backward", counted)
+    return calls
+
+
 class TestConvBackwardWork:
-    """Stride-1 input gradients run as forward convs; the scatter is left to strided convs."""
+    """Stride-1 backward passes unfold the output gradient once; the scatter is left to strided convs."""
 
     @pytest.mark.parametrize("family", ["plain", "resnet-preact"])
     def test_only_strided_convs_scatter(self, family, monkeypatch):
-        calls = count_calls(monkeypatch, kernels, "col2im", "conv2d_input_grad")
+        calls = count_calls(monkeypatch, kernels, "col2im")
+        backward_calls = count_backward_calls(monkeypatch)
         model = build_network(NetworkConfig(family=family, depth=8, seed=1))
         loss, _, tape = model.loss(*training_batch(family))
         convs = [n for n in tape.nodes if n.kind == "conv2d"]
         strided = [n for n in convs if n.meta["stride"] > 1]
         tape.backward(loss)
         assert strided and calls["col2im"] == len(strided)
-        # every conv but the stem, whose input is the image
+        # every conv but the stem, whose input is the image, computes its input gradient
         assert convs[0].inputs[0].kind == "constant"
-        assert calls["conv2d_input_grad"] == len(convs) - 1
+        assert backward_calls == {True: len(convs) - 1, False: 1}
+
+    @pytest.mark.parametrize("family,depth", [("plain", 8), ("resnet-preact", 8),
+                                              ("resnet-preact-bottleneck", 11)])
+    def test_one_unfold_per_conv_in_backward(self, family, depth, monkeypatch):
+        model = build_network(NetworkConfig(family=family, depth=depth, seed=1))
+        loss, _, tape = model.loss(*training_batch(family))
+        calls = count_calls(monkeypatch, kernels, "im2col")
+        tape.backward(loss)
+        assert calls["im2col"] == sum(n.kind == "conv2d" for n in tape.nodes)
 
     def test_skipped_image_gradient_leaves_parameter_gradients_alone(self, monkeypatch):
         model = build_network(NetworkConfig(family="plain", depth=8, seed=1))
@@ -384,8 +415,8 @@ class TestConvBackwardWork:
         skipped = param_grads()
         # record the image under another kind, so the stem conv computes its input gradient
         monkeypatch.setattr(Tape, "constant", lambda self, data: self.record("image", (), data, None))
-        calls = count_calls(monkeypatch, kernels, "conv2d_input_grad")
+        calls = count_backward_calls(monkeypatch)
         forced = param_grads()
         convs = sum(n.kind == "conv2d" for n in model.loss(x, labels)[2].nodes)
-        assert calls["conv2d_input_grad"] == convs
+        assert calls == {True: convs, False: 0}
         assert forced == skipped

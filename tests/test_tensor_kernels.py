@@ -26,6 +26,33 @@ def scatter_input_grad(g, kernel, x_shape, stride, pad):
     return img[:, :, pad:pad + h, pad:pad + w]
 
 
+def per_tap_im2col(x, kh, kw, stride, pad):
+    """Reference unfold: one strided copy per kernel tap into (n, c, kh, kw, oh, ow)."""
+    n, c, h, w = x.shape
+    oh = kernels.conv_out_extent(h, kh, stride, pad)
+    ow = kernels.conv_out_extent(w, kw, stride, pad)
+    img = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = img[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+    return cols.reshape(n, c * kh * kw, oh * ow)
+
+
+def im2col_inputs(dtype):
+    """A C-contiguous, a transposed, a sliced and a read-only NCHW input."""
+    rng = np.random.default_rng(9)
+    base = rng.standard_normal((2, 3, 5, 7)).astype(dtype)
+    readonly = base.copy()
+    readonly.flags.writeable = False
+    return {
+        "contiguous": base,
+        "transposed": rng.standard_normal((2, 3, 7, 5)).astype(dtype).transpose(0, 1, 3, 2),
+        "sliced": rng.standard_normal((2, 6, 6, 8)).astype(dtype)[:, ::2, 1:, :7],
+        "readonly": readonly,
+    }
+
+
 class TestTensor:
     def test_shape_data_consistency(self):
         t = Tensor(np.zeros((2, 3, 4, 4)))
@@ -188,6 +215,26 @@ class TestConv2d:
         dx = kernels.conv2d_input_grad(out, k, x.shape, stride=1, padding=1)
         assert dx.flags.c_contiguous and dx.flags.owndata
 
+    @pytest.mark.parametrize("k,stride,pad", list(itertools.product((1, 2, 3), (1, 2), (0, 1))))
+    def test_backward_matches_separate_gradients(self, k, stride, pad):
+        # the grid of test_input_grad_matches_scatter_adjoint: the stride-1 convs take
+        # both gradients from one unfold of g, the others from the separate kernels
+        rng = np.random.default_rng(10 + 12 * k + 6 * stride + pad)
+        n, c, o = rng.integers(1, 3), rng.integers(1, 5), rng.integers(1, 5)
+        h, w = rng.integers(3, 9), rng.integers(3, 9)
+        x = rng.standard_normal((n, c, h, w))
+        kern = rng.standard_normal((o, c, k, k))
+        g = rng.standard_normal((n, o, kernels.conv_out_extent(h, k, stride, pad),
+                                 kernels.conv_out_extent(w, k, stride, pad)))
+        dx, dk = kernels.conv2d_backward(g, x, kern, stride, pad, True)
+        assert rel_err(dx, kernels.conv2d_input_grad(g, kern, x.shape, stride, pad)) < 1e-12
+        assert rel_err(dk, kernels.conv2d_kernel_grad(g, x, kern.shape, stride, pad)) < 1e-12
+        assert dx.shape == x.shape and dk.shape == kern.shape
+        for out in (dx, dk):
+            assert out.flags.c_contiguous and out.flags.owndata
+        skipped, dk_alone = kernels.conv2d_backward(g, x, kern, stride, pad, False)
+        assert skipped is None and dk_alone.tobytes() == dk.tobytes()
+
 
 class TestLowering:
     def test_pointwise_patch_matrix_is_the_input(self):
@@ -195,6 +242,19 @@ class TestLowering:
         cols = kernels.im2col(x, 1, 1, 1, 0)
         assert cols.shape == (2, 3, 20) and np.shares_memory(cols, x)
         np.testing.assert_array_equal(cols, x.reshape(2, 3, 20))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k,stride,pad", list(itertools.product((1, 2, 3), (1, 2), (0, 1, 2))))
+    def test_unfold_matches_per_tap_copy_bytewise(self, k, stride, pad, dtype):
+        for name, x in im2col_inputs(dtype).items():
+            cols = kernels.im2col(x, k, k, stride, pad)
+            reference = per_tap_im2col(x, k, k, stride, pad)
+            assert cols.shape == reference.shape and cols.dtype == dtype, name
+            assert cols.tobytes() == reference.tobytes(), name
+            if np.shares_memory(cols, x):
+                assert (k, stride, pad) == (1, 1, 0), name  # the pointwise view
+            else:
+                assert cols.flags.c_contiguous, name
 
     @pytest.mark.parametrize("stride,pad", [(2, 0), (1, 1)])
     def test_other_pointwise_lowerings_copy(self, stride, pad):
