@@ -58,13 +58,13 @@ def _walk_tape(tape: Tape):
         in_trunk = node.scope.startswith("stage") and ".skip" not in node.scope
         region = regions.setdefault(node.scope.split(".")[0], [0, 0, 0])
         if node.kind == "conv2d":
-            o, c, kh, kw = node.meta["kernel_shape"]
-            _, _, oh, ow = node.meta["out_shape"]
+            o, c, kh, kw = node.inputs[1].data.shape
+            _, _, oh, ow = node.data.shape
             region[0] += 1
             region[2] += 2 * kh * kw * c * o * oh * ow
             n_conv += in_trunk
         else:
-            _, ch, h, w = node.value.shape
+            _, ch, h, w = node.data.shape
             flops_relu += ch * h * w
             region[1] += 1
             n_relu += in_trunk
@@ -84,7 +84,7 @@ def audit(target, input_shape=(1, 3, 32, 32), seed: int = 0) -> RatioReport:
         tape = Tape(store, training=False)
         rng = seeded_rng(seed, "audit-probe")
         probe = rng.standard_normal((input_shape[0], target.in_channels) + tuple(input_shape[2:]))
-        x = tape.constant(Tensor(probe))
+        x = tape.constant(probe)
         if target.family == "dfn-merge-run":
             block(tape, (x, x))
         else:

@@ -2,12 +2,17 @@
 
 Each forward pass records a fresh tape: nodes are appended in creation
 order, which is already a topological order, so the backward sweep is a
-single reverse iteration. Parameters live outside the tape in a
-:class:`ParamStore`; ``backward`` accumulates into their gradient buffers,
-so calling it twice without zeroing doubles every gradient. An eval tape
-(``training=False``) records no backward: every op passes no ``grad_fn``,
-so nothing is kept only for it (BN's normalized input, the softmax), and
-``backward`` on such a tape raises.
+single reverse iteration. A node holds its output as a read-only ndarray,
+``node.data``: the tape freezes each array it records. Outside input enters
+through ``Tape.constant``, which checks it as a :class:`Tensor` (precision,
+rank, non-empty extents) and copies a view of the caller's memory.
+``node.value`` wraps the array in a ``Tensor`` for callers outside the
+library; the library itself reads ``node.data``. Parameters live outside
+the tape in a :class:`ParamStore`; ``backward`` accumulates into their
+gradient buffers, so calling it twice without zeroing doubles every
+gradient. An eval tape (``training=False``) records no backward: every op
+passes no ``grad_fn``, so nothing is kept only for it (BN's normalized
+input, the softmax), and ``backward`` on such a tape raises.
 
 ``gradcheck`` is the finite-difference referee: central differences on a
 seeded sample of coordinates per parameter tensor, run in double precision.
@@ -101,23 +106,24 @@ class ParamStore:
 
 
 class Node:
-    """One recorded operation: output tensor plus how to push gradients back."""
+    """One recorded operation: read-only output array plus how to push gradients back."""
 
-    __slots__ = ("idx", "kind", "inputs", "value", "grad_fn", "scope", "meta", "param_name")
+    __slots__ = ("idx", "kind", "inputs", "data", "grad_fn", "scope", "meta", "param_name")
 
-    def __init__(self, idx, kind, inputs, value, grad_fn, scope, meta=None, param_name=None):
+    def __init__(self, idx, kind, inputs, data, grad_fn, scope, meta=None, param_name=None):
         self.idx = idx
         self.kind = kind
         self.inputs = inputs
-        self.value = value
+        self.data = data
         self.grad_fn = grad_fn
         self.scope = scope
         self.meta = meta
         self.param_name = param_name
 
     @property
-    def shape(self):
-        return self.value.shape
+    def value(self) -> Tensor:
+        """The output as a :class:`Tensor`, for callers outside the library."""
+        return Tensor(self.data)
 
 
 class Tape:
@@ -149,22 +155,23 @@ class Tape:
     def current_scope(self) -> str:
         return ".".join(self._scope)
 
-    def record(self, kind: str, inputs: tuple, value: Tensor,
+    def record(self, kind: str, inputs: tuple, value: np.ndarray,
                grad_fn: Optional[Callable], meta=None, param_name=None) -> Node:
         if len(inputs) > 1:
-            check_same_precision(*[n.value.data for n in inputs])
+            check_same_precision(*[n.data for n in inputs])
+        value.setflags(write=False)
         node = Node(len(self.nodes), kind, inputs, value, grad_fn, self.current_scope,
                     meta=meta, param_name=param_name)
         self.nodes.append(node)
         return node
 
     def constant(self, data) -> Node:
+        """Outside input, checked as a Tensor, which copies a view of the caller's memory."""
         tensor = data if isinstance(data, Tensor) else Tensor(data)
-        return self.record("constant", (), tensor, None)
+        return self.record("constant", (), tensor.data, None)
 
     def param(self, name: str) -> Node:
-        entry = self.params[name]
-        return self.record("param", (), entry.value, None, param_name=name)
+        return self.record("param", (), self.params[name].value.data, None, param_name=name)
 
     def stage_update(self, name: str, value: np.ndarray) -> None:
         """Queue a buffer update (e.g. BN running stats) for the commit phase."""
@@ -178,22 +185,20 @@ class Tape:
     # -- built-in ops --------------------------------------------------------
 
     def conv2d(self, x: Node, w: Node, stride: int = 1, padding: int = 0) -> Node:
-        xd, wd = x.value.data, w.value.data
+        xd, wd = x.data, w.data
         out = kernels.conv2d(xd, wd, stride, padding)
         needs_dx = x.kind != "constant"  # backward would discard it
 
         def grad_fn(g):
             return kernels.conv2d_backward(g, xd, wd, stride, padding, needs_dx)
 
-        meta = {"kernel_shape": wd.shape, "out_shape": out.shape, "stride": stride, "padding": padding}
-        return self.record("conv2d", (x, w), Tensor(out), grad_fn if self.training else None,
-                           meta=meta)
+        return self.record("conv2d", (x, w), out, grad_fn if self.training else None,
+                           meta={"stride": stride, "padding": padding})
 
     def relu(self, x: Node) -> Node:
-        xd = x.value.data
-        out = kernels.relu(xd)
+        out = kernels.relu(x.data)
         if not self.training:
-            return self.record("relu", (x,), Tensor(out), None)
+            return self.record("relu", (x,), out, None)
 
         def grad_fn(g):
             # Keep g's bits where out > 0 (exactly where x > 0; the
@@ -204,62 +209,61 @@ class Tape:
             np.negative(keep, out=keep)
             return (np.bitwise_and(g.view(uint), keep, out=keep).view(g.dtype),)
 
-        return self.record("relu", (x,), Tensor(out), grad_fn)
+        return self.record("relu", (x,), out, grad_fn)
 
     def add(self, a: Node, b: Node) -> Node:
-        out = kernels.add(a.value.data, b.value.data)
+        out = kernels.add(a.data, b.data)
 
         def grad_fn(g):
             return (g, g)
 
-        return self.record("add", (a, b), Tensor(out), grad_fn if self.training else None)
+        return self.record("add", (a, b), out, grad_fn if self.training else None)
 
     def scale(self, x: Node, c: float) -> Node:
-        xd = x.value.data
+        xd = x.data
         factor = xd.dtype.type(c)
         out = xd * factor
 
         def grad_fn(g):
             return (g * factor,)
 
-        return self.record("scale", (x,), Tensor(out), grad_fn if self.training else None)
+        return self.record("scale", (x,), out, grad_fn if self.training else None)
 
     def global_avg_pool(self, x: Node) -> Node:
-        xd = x.value.data
+        xd = x.data
         out = kernels.global_avg_pool(xd)
 
         def grad_fn(g):
             return (kernels.global_avg_pool_grad(g, xd.shape),)
 
-        return self.record("global_avg_pool", (x,), Tensor(out),
-                           grad_fn if self.training else None, meta={"in_shape": xd.shape})
+        return self.record("global_avg_pool", (x,), out, grad_fn if self.training else None)
 
     def flatten(self, x: Node) -> Node:
-        xd = x.value.data
+        xd = x.data
         out = xd.reshape(xd.shape[0], -1)
 
         def grad_fn(g):
             return (g.reshape(xd.shape),)
 
-        return self.record("flatten", (x,), Tensor(out), grad_fn if self.training else None)
+        return self.record("flatten", (x,), out, grad_fn if self.training else None)
 
     def linear(self, x: Node, w: Node, b: Node) -> Node:
-        xd, wd, bd = x.value.data, w.value.data, b.value.data
+        xd, wd, bd = x.data, w.data, b.data
         out = kernels.linear(xd, wd, bd)
 
         def grad_fn(g):
             return (g @ wd, g.T @ xd, g.sum(axis=0))
 
-        return self.record("linear", (x, w, b), Tensor(out), grad_fn if self.training else None)
+        return self.record("linear", (x, w, b), out, grad_fn if self.training else None)
 
     def sum(self, x: Node) -> Node:
-        xd = x.value.data
-        out = xd.sum()
+        xd = x.data
+        out = np.asarray(xd.sum())  # sum() returns a numpy scalar, which cannot be frozen
 
         def grad_fn(g):
             return (np.full(xd.shape, g, dtype=xd.dtype),)
 
-        return self.record("sum", (x,), Tensor(out), grad_fn if self.training else None)
+        return self.record("sum", (x,), out, grad_fn if self.training else None)
 
     # -- backward ------------------------------------------------------------
 
@@ -267,9 +271,9 @@ class Tape:
         """Reverse accumulation from a scalar loss into the ParamStore."""
         if not self.training:
             raise ValueError("backward on an eval tape (training=False): it records no backward")
-        if loss.value.shape != ():
-            raise ShapeError(f"backward requires a scalar loss, got shape {loss.value.shape}")
-        grads: dict[int, np.ndarray] = {loss.idx: np.asarray(loss.value.dtype.type(1.0))}
+        if loss.data.shape != ():
+            raise ShapeError(f"backward requires a scalar loss, got shape {loss.data.shape}")
+        grads: dict[int, np.ndarray] = {loss.idx: np.asarray(loss.data.dtype.type(1.0))}
         # grad_fn outputs may alias each other (add hands the same array to
         # both inputs), so accumulate copy-on-write: only arrays this sweep
         # allocated itself are ever mutated in place.
@@ -302,7 +306,7 @@ class Tape:
         Read from each output: ReLU passes exactly the positive inputs, and
         maps NaN to 0, so ``out > 0`` equals ``x > 0`` bit for bit.
         """
-        return [n.value.data > 0 for n in self.nodes if n.kind == "relu"]
+        return [n.data > 0 for n in self.nodes if n.kind == "relu"]
 
 
 # -- finite-difference checker ----------------------------------------------
@@ -368,7 +372,7 @@ def gradcheck(loss_builder: Callable[[Tape], Node], params: ParamStore,
         params.set_value(name, perturbed)
         try:
             tape = Tape(params, training=True, resume=(base_tape, name))
-            value = float(loss_builder(tape).value.data)
+            value = float(loss_builder(tape).data)
             return value, tape.relu_signature()
         finally:
             params.set_value(name, original)

@@ -190,7 +190,7 @@ def _load_datasets(args, seed: int):
         train = make_synthetic(10, args.synthetic_count, seed, split="train")
         test = make_synthetic(10, max(args.synthetic_count // 4, 10), seed + 1, split="test")
         return train, test
-    subset = (args.subset, seed) if args.subset else None
+    subset = (args.subset, seed) if args.subset is not None else None
     train = load_cifar(args.data_dir, args.dataset, "train", subset=subset)
     test = load_cifar(args.data_dir, args.dataset, "test")
     return train, test

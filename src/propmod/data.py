@@ -153,6 +153,8 @@ def _apply_subset(images, labels, subset):
     if subset is None:
         return images, labels
     count, seed = subset
+    if count < 1:
+        raise ValueError(f"subset of {count} samples: the count must be at least 1")
     if count > len(labels):
         raise DataError(f"subset of {count} exceeds dataset size {len(labels)}")
     idx = seeded_rng(seed, "subset").permutation(len(labels))[:count]
@@ -185,6 +187,8 @@ def make_synthetic(num_classes: int = 10, count: int = 100, seed: int = 0,
 
     Labels are stratified exactly: sample i gets class i mod num_classes.
     """
+    if count < 1:
+        raise ValueError(f"synthetic dataset of {count} samples: the count must be at least 1")
     rng = seeded_rng(seed, "synthetic", split)
     prototypes = rng.standard_normal((num_classes, 3, 32, 32)).astype(np.float32)
     labels = (np.arange(count) % num_classes).astype(np.int64)

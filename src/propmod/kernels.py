@@ -86,8 +86,8 @@ def _check_conv_shapes(x: np.ndarray, kernel: np.ndarray):
 def conv2d(x: np.ndarray, kernel: np.ndarray, stride: int = 1, padding: int = 0) -> np.ndarray:
     """Cross-correlation with zero padding, via im2col + matmul."""
     _check_conv_shapes(x, kernel)
-    _, _, h, w = x.shape
-    _, _, kh, kw = kernel.shape
+    n, _, h, w = x.shape
+    o, c, kh, kw = kernel.shape
     oh = conv_out_extent(h, kh, stride, padding)
     ow = conv_out_extent(w, kw, stride, padding)
     if oh < 1 or ow < 1:
@@ -95,14 +95,6 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, stride: int = 1, padding: int = 0)
             f"conv2d output collapses: input {x.shape}, kernel {kernel.shape}, "
             f"stride {stride}, padding {padding}"
         )
-    return _lowered_conv(x, kernel, stride, padding, oh, ow)
-
-
-def _lowered_conv(x: np.ndarray, kernel: np.ndarray, stride: int, padding: int,
-                  oh: int, ow: int) -> np.ndarray:
-    """im2col + one batched GEMM into a fresh NCHW array; shapes already checked."""
-    n = x.shape[0]
-    o, c, kh, kw = kernel.shape
     cols = im2col(x, kh, kw, stride, padding)
     return _gemm(kernel.reshape(o, c * kh * kw), cols, (n, o, oh, ow))
 
@@ -115,29 +107,11 @@ def _gemm(weights: np.ndarray, cols: np.ndarray, out_shape: tuple) -> np.ndarray
     return out
 
 
-def _adjoint_is_conv(kernel_shape: tuple, stride: int, padding: int) -> bool:
-    # The adjoint of a stride-1 correlation is a full correlation of grad_out
-    # with the kernel flipped in space and transposed in channels, at padding
-    # k-1-p. At padding >= k that would be negative, so those convs scatter
-    # like the strided ones.
-    _, _, kh, kw = kernel_shape
-    return stride == 1 and kh == kw and padding < kh
-
-
-def _flipped_gemm(kernel: np.ndarray, gcols: np.ndarray, x_shape: tuple) -> np.ndarray:
-    """A stride-1 conv's input gradient from its unfolded output gradient."""
-    o, c, kh, kw = kernel.shape
-    # reshaping the flipped view copies it into a contiguous (C, O*KH*KW) matrix
-    flipped = kernel.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].reshape(c, o * kh * kw)
-    return _gemm(flipped, gcols, x_shape)
-
-
 def conv2d_input_grad(grad_out: np.ndarray, kernel: np.ndarray, x_shape: tuple,
                       stride: int, padding: int) -> np.ndarray:
+    """Input gradient by scattering the patch gradient back with ``col2im``."""
     n, o, oh, ow = grad_out.shape
     _, c, kh, kw = kernel.shape
-    if _adjoint_is_conv(kernel.shape, stride, padding):
-        return _flipped_gemm(kernel, im2col(grad_out, kh, kh, 1, kh - 1 - padding), x_shape)
     cols_grad = kernel.reshape(o, c * kh * kw).T @ grad_out.reshape(n, o, oh * ow)
     # col2im returns the interior of its padded grid, a view
     return np.ascontiguousarray(col2im(cols_grad, x_shape, kh, kw, stride, padding))
@@ -165,13 +139,21 @@ def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, kernel: np.ndarray,
     ``conv2d_input_grad`` and ``conv2d_kernel_grad``. Both results are
     C-contiguous arrays of their own.
     """
-    if not _adjoint_is_conv(kernel.shape, stride, padding):
+    o, c, k, kw = kernel.shape
+    # The adjoint of a stride-1 correlation is a full correlation of grad_out
+    # with the kernel flipped in space and transposed in channels, at padding
+    # k-1-p. At padding >= k that would be negative, so those convs scatter
+    # like the strided ones.
+    if not (stride == 1 and k == kw and padding < k):
         dx = conv2d_input_grad(grad_out, kernel, x.shape, stride, padding) if input_grad else None
         return dx, conv2d_kernel_grad(grad_out, x, kernel.shape, stride, padding)
-    n, c, h, w = x.shape
-    o, _, k, _ = kernel.shape
+    n, _, h, w = x.shape
     gcols = im2col(grad_out, k, k, 1, k - 1 - padding)
-    dx = _flipped_gemm(kernel, gcols, x.shape) if input_grad else None
+    dx = None
+    if input_grad:
+        # reshaping the flipped view copies it into a contiguous (C, O*K*K) matrix
+        flipped = kernel.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].reshape(c, o * k * k)
+        dx = _gemm(flipped, gcols, x.shape)
     flipped_grad = (x.reshape(n, c, h * w) @ gcols.transpose(0, 2, 1)).sum(axis=0)
     dkernel = flipped_grad.reshape(c, o, k, k).transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
     return dx, dkernel.copy()

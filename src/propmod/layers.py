@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import Node, ParamStore, Tape, seeded_rng
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError
 
 BN_EPSILON = 1e-5
 BN_MOMENTUM = 0.9  # coefficient on the old running value
@@ -154,7 +154,7 @@ class BatchNorm2d:
     def __call__(self, tape: Tape, x: Node) -> Node:
         g = tape.param(self.name + ".gamma")
         b = tape.param(self.name + ".beta")
-        xd, gd, bd = x.value.data, g.value.data, b.value.data
+        xd, gd, bd = x.data, g.data, b.data
         if xd.ndim != 4 or xd.shape[1] != self.channels:
             raise ShapeError(
                 f"{self.name}: expected NCHW input with {self.channels} channels, got shape {xd.shape}"
@@ -173,13 +173,12 @@ class BatchNorm2d:
             def grad_fn(grad):
                 return batchnorm_train_backward(grad, cache, gd)
 
-            return tape.record("batchnorm", (x, g, b), Tensor(y), grad_fn,
-                               meta={"mode": "train"})
+            return tape.record("batchnorm", (x, g, b), y, grad_fn)
 
         rm = self.store[self.name + ".running_mean"].value.data
         rv = self.store[self.name + ".running_var"].value.data
         y = batchnorm_eval(xd, gd, bd, rm, rv, BN_EPSILON)
-        return tape.record("batchnorm", (x, g, b), Tensor(y), None, meta={"mode": "eval"})
+        return tape.record("batchnorm", (x, g, b), y, None)
 
 
 class Linear:
@@ -200,7 +199,7 @@ class Linear:
 
 def softmax_cross_entropy(tape: Tape, logits: Node, labels: np.ndarray) -> Node:
     """Mean over the batch of -log softmax(logits)[label], max-stabilized."""
-    z = logits.value.data
+    z = logits.data
     if z.ndim != 2:
         raise ShapeError(f"logits must be (N, K), got shape {z.shape}")
     n, k = z.shape
@@ -223,5 +222,5 @@ def softmax_cross_entropy(tape: Tape, logits: Node, labels: np.ndarray) -> Node:
         dz *= g / n
         return (dz.astype(z.dtype),)
 
-    return tape.record("softmax_cross_entropy", (logits,), Tensor(np.asarray(loss, dtype=z.dtype)),
-                       grad_fn if tape.training else None, meta={"labels": labels})
+    return tape.record("softmax_cross_entropy", (logits,), np.asarray(loss, dtype=z.dtype),
+                       grad_fn if tape.training else None)

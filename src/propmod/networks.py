@@ -22,7 +22,6 @@ from .autograd import ParamStore, Tape
 from .blocks import (BlockSpec, build_merge_run, build_plain_module,
                      build_preact_bottleneck, build_preact_building, make_block)
 from .layers import BatchNorm2d, Conv2d, Linear, softmax_cross_entropy
-from .tensor import Tensor
 
 FAMILIES = ("plain", "resnet-preact", "resnet-preact-bottleneck", "dfn-mr1")
 
@@ -129,12 +128,12 @@ class Model:
                           if param_name.startswith(name + ".")), 0)
         if start == 0:
             # a copy: the tape freezes what it holds, and the caller's array stays theirs
-            carry = tape.constant(Tensor(np.array(x, dtype=self.store.dtype)))
+            carry = tape.constant(np.array(x, dtype=self.store.dtype))
         else:
             # this call's twin on the base tape has the same ordinal
             cached = base.block_inputs[len(tape.block_inputs)][steps[start][0]]
-            carry = (tuple(tape.constant(n.value) for n in cached) if isinstance(cached, tuple)
-                     else tape.constant(cached.value))
+            carry = (tuple(tape.constant(n.data) for n in cached) if isinstance(cached, tuple)
+                     else tape.constant(cached.data))
         inputs = {}
         tape.block_inputs.append(inputs)
         for name, step in steps[start:]:

@@ -5,8 +5,12 @@ precisions exist: "single" (float32, the training default) and "double"
 (float64, used by every oracle and gradient-check path). An operation never
 mixes the two; attempting to raises :class:`PrecisionError`.
 
-Tensors are immutable once constructed: kernels always allocate fresh
-outputs, which is what makes every op pure and bit-reproducible.
+Tensors are immutable once constructed. A ``Tensor`` stands where that
+has to be enforced on an array from elsewhere: input entering a tape
+(``Tape.constant``), the values in a ``ParamStore``, ``ConvParams`` and the
+oracles' reports. Tape nodes hold plain read-only arrays, since kernels
+always allocate fresh outputs, which is what makes every op pure and
+bit-reproducible.
 """
 
 from __future__ import annotations

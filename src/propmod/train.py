@@ -149,7 +149,7 @@ def evaluate(model, data: DatasetHandle, batch_size: int = 256) -> float:
         images = data.images[start:start + batch_size]
         labels = data.labels[start:start + batch_size]
         logits, _ = model.forward(images, training=False)
-        pred = np.argmax(logits.value.data, axis=1)
+        pred = np.argmax(logits.data, axis=1)
         correct += int((pred == labels).sum())
     return correct / len(data)
 
@@ -196,7 +196,7 @@ def fit(model, train_data: DatasetHandle, test_data: DatasetHandle | None,
         for images, labels in iter_batches(train_data, cfg.batch_size, cfg.seed, epoch,
                                            augment=cfg.augment):
             loss, logits, tape = model.loss(images, labels, training=True)
-            loss_value = float(loss.value.data)
+            loss_value = float(loss.data)
             if not np.isfinite(loss_value):
                 raise NumericalFailure(
                     f"loss became non-finite at epoch {epoch}; last good checkpoint "
@@ -207,7 +207,7 @@ def fit(model, train_data: DatasetHandle, test_data: DatasetHandle | None,
             tape.commit_updates()
             optimizer.step(lr)
             losses.append(loss_value)
-            pred = np.argmax(logits.value.data, axis=1)
+            pred = np.argmax(logits.data, axis=1)
             correct += int((pred == labels).sum())
             total += len(labels)
             del loss, logits, tape  # free this step's graph before the next forward

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from propmod import (NetworkConfig, ParamStore, ShapeError, Tensor, build_network, gradcheck,
-                     kernels, layers)
-from propmod.autograd import Tape, seeded_rng
+from propmod import (NetworkConfig, ParamStore, ShapeError, Tensor, TrainConfig, build_network,
+                     fit, gradcheck, kernels, layers, make_synthetic, summarize)
+from propmod.autograd import Node, Tape, seeded_rng
 from propmod.blocks import build_preact_building, make_block
 from propmod.layers import softmax_cross_entropy
 
@@ -25,7 +25,7 @@ class TestBackward:
         tape = Tape(store)
         w = tape.param("w")
         xs = tape.constant(Tensor(x))
-        prod = tape.record("mul", (w, xs), Tensor(w.value.data * x),
+        prod = tape.record("mul", (w, xs), w.data * x,
                            lambda g: (g * x, g * w.value.data))
         tape.backward(tape.sum(prod))
         np.testing.assert_array_equal(store["w"].grad, x)
@@ -215,7 +215,7 @@ class TestGradcheck:
 
         def build(tape):
             w = tape.param("w")
-            bad = tape.record("bad_mul", (w,), Tensor(w.value.data * x),
+            bad = tape.record("bad_mul", (w,), w.data * x,
                               lambda g: (g * x * 1.01,))
             return tape.sum(bad)
 
@@ -420,3 +420,58 @@ class TestConvBackwardWork:
         convs = sum(n.kind == "conv2d" for n in model.loss(x, labels)[2].nodes)
         assert calls == {True: convs, False: 0}
         assert forced == skipped
+
+
+NODE_FAMILIES = [("plain", 8), ("resnet-preact", 8), ("resnet-preact-bottleneck", 11), ("dfn-mr1", 8)]
+NODE_FAMILY_IDS = ["plain-8", "resnet-preact-8", "bottleneck-11", "dfn-mr1-8"]
+
+
+class TestNodeContract:
+    """A node holds its output as a read-only array; ``node.value`` wraps it for outside callers."""
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("family,depth", NODE_FAMILIES, ids=NODE_FAMILY_IDS)
+    def test_every_node_holds_a_frozen_array(self, family, depth, training):
+        model = build_network(NetworkConfig(family=family, depth=depth, seed=1))
+        _, _, tape = model.loss(*training_batch(family), training=training)
+        for node in tape.nodes:
+            assert type(node.data) is np.ndarray and not node.data.flags.writeable, node.kind
+            value = node.value
+            assert isinstance(value, Tensor) and value.dtype == node.data.dtype
+            assert value.shape == node.data.shape
+            assert value.data.tobytes() == node.data.tobytes(), node.kind
+            # only a conv keeps what its arrays cannot show: its stride and padding
+            assert (node.meta is not None) == (node.kind == "conv2d"), node.kind
+            assert not hasattr(node, "shape")
+
+    def test_flatten_shares_its_input_array(self):
+        model = build_network(NetworkConfig(family="plain", depth=8, seed=1))
+        _, tape = model.forward(training_batch("plain")[0], training=True)
+        (flat,) = [n for n in tape.nodes if n.kind == "flatten"]
+        assert np.shares_memory(flat.data, flat.inputs[0].data)
+
+    def test_constant_checks_and_copies_outside_input(self):
+        tape = Tape(make_store({}))
+        with pytest.raises(ShapeError):
+            tape.constant(np.zeros((2, 0, 3)))
+        caller = np.arange(24.0).reshape(2, 3, 4)
+        for view in (caller[1:], caller[:, 1:]):  # a contiguous and a strided view
+            node = tape.constant(view)
+            assert not np.shares_memory(node.data, caller)
+            np.testing.assert_array_equal(node.data, view)
+        assert caller.flags.writeable
+
+    @pytest.mark.parametrize("family,depth", NODE_FAMILIES, ids=NODE_FAMILY_IDS)
+    def test_library_never_reads_node_value(self, family, depth, monkeypatch):
+        def refuse(node):
+            raise AssertionError(f"the library read Node.value of a {node.kind} node")
+
+        monkeypatch.setattr(Node, "value", property(refuse))
+        model = build_network(NetworkConfig(family=family, depth=depth,
+                                            stage_widths=(4, 4, 8), seed=1))
+        data = make_synthetic(10, 4, seed=0)
+        record = fit(model, data, data, TrainConfig(epochs=1, batch_size=4, augment=False))
+        assert len(record.epochs) == 1  # the epoch ran, and evaluate with it
+        summarize(model)
+        oracle, x, labels = oracle_case(family, depth, {})
+        gradcheck(oracle.loss_builder(x, labels), oracle.store, sample=2)

@@ -58,6 +58,20 @@ class TestExitCodes:
         assert main(["audit", "--arch", "resnet-preact", "--depth", "40"]) == 1
         assert "nearest valid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_subset_below_one_is_usage_error(self, cifar10_dir, tmp_path, count, capsys):
+        code = main(["train", *PLAIN8, "--dataset", "cifar10", "--data-dir", str(cifar10_dir),
+                     "--subset", count, "--epochs", "1", "--out", str(tmp_path / "runs")])
+        assert code == 1
+        assert f"subset of {count} samples" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()  # rejected before any run directory is made
+
+    def test_zero_synthetic_count_is_usage_error(self, tmp_path, capsys):
+        code = main(["train", *PLAIN8, "--dataset", "synthetic", "--synthetic-count", "0",
+                     "--epochs", "1", "--out", str(tmp_path)])
+        assert code == 1
+        assert "synthetic dataset of 0 samples" in capsys.readouterr().err
+
     def test_missing_data_is_data_error(self, tmp_path, capsys):
         code = main(["train", "--arch", "plain", "--depth", "8", "--dataset", "cifar10",
                      "--data-dir", str(tmp_path), "--epochs", "1"])

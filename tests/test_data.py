@@ -116,6 +116,12 @@ class TestCifarLoader:
         with pytest.raises(DataError):
             load_cifar(cifar10_dir, "cifar10", "train", subset=(10_000, 0))
 
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_subset_below_one_rejected(self, cifar10_dir, count):
+        # a negative count would slice the permutation from its end, zero would leave it empty
+        with pytest.raises(ValueError, match=f"subset of {count} samples"):
+            load_cifar(cifar10_dir, "cifar10", "train", subset=(count, 0))
+
 
 class TestSynthetic:
     def test_exact_stratification(self):
@@ -132,6 +138,11 @@ class TestSynthetic:
         handle = make_synthetic(10, 32, seed=1)
         assert handle.images.shape == (32, 3, 32, 32)
         assert np.isfinite(handle.images).all()
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_below_one_rejected(self, count):
+        with pytest.raises(ValueError, match=f"synthetic dataset of {count} samples"):
+            make_synthetic(10, count, seed=0)
 
 
 class TestAugmentation:

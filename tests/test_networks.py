@@ -76,6 +76,16 @@ class TestForward:
         logits, _ = model.forward(x)
         assert logits.value.shape == (2, 10)
 
+    def test_value_reads_match_node_arrays(self):
+        # the benchmark reads nodes through Node.value; those reads must equal the arrays
+        model = build_network(small("plain"))
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((2, 3, 16, 16)).astype(np.float32)
+        labels = rng.integers(0, 10, size=2)
+        loss, logits, _ = model.loss(x, labels)
+        assert float(model.loss(x, labels)[0].value.data) == float(loss.data)
+        assert logits.value.data.tobytes() == logits.data.tobytes()
+
     def test_forward_leaves_caller_array_alone(self):
         model = build_network(small("plain"))
         x = np.random.default_rng(3).standard_normal((2, 3, 16, 16)).astype(np.float32)

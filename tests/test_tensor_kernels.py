@@ -144,7 +144,7 @@ class TestConv2d:
 
     def test_input_grad_matches_scatter_adjoint(self):
         # every (k, stride, pad) of the random grid above, 1x1 at padding 1 included:
-        # stride 1 runs as a flipped-kernel conv except where padding >= k
+        # col2im's scatter against the per-pixel loop
         rng = np.random.default_rng(8)
         for k, stride, pad in itertools.product((1, 2, 3), (1, 2), (0, 1)):
             for _ in range(2):
