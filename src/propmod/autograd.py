@@ -358,6 +358,8 @@ def gradcheck(loss_builder: Callable[[Tape], Node], params: ParamStore,
     """
     if params.precision != "double":
         raise PrecisionError("gradcheck requires a double-precision ParamStore")
+    if sample < 1:
+        raise ValueError(f"gradcheck sample of {sample} coordinates per tensor: it must be at least 1")
 
     params.zero_grads()
     base_tape = Tape(params, training=True)

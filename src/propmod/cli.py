@@ -22,13 +22,11 @@ import numpy as np
 
 from .audit import audit, collapse_check
 from .autograd import gradcheck, seeded_rng
-from .blocks import LinearModuleError
 from .checkpoint import CheckpointError, load_training_state
 from .data import DataError, load_cifar, make_synthetic
 from .layers import BatchNormState
-from .networks import (DepthError, NetworkConfig, build_network,
-                       config_from_manifest_header, format_manifest,
-                       parse_manifest, summarize)
+from .networks import (NetworkConfig, build_network, config_from_manifest_header,
+                       format_manifest, parse_manifest, summarize)
 from .tensor import ConvParams, Tensor
 from .train import NumericalFailure, TrainConfig, aggregate_runs, evaluate, fit
 
@@ -151,58 +149,50 @@ def build_parser() -> _Parser:
 # -- shared construction -------------------------------------------------------
 
 
+# the variant ``--module proportional`` builds when the family's own flag is not given
+_PROPORTIONAL = {"plain": {"ratio": "2:1"}, "resnet-preact": {"removal": "first"},
+                 "resnet-preact-bottleneck": {"removal": "1"}, "dfn-mr1": {"removal": "type1"}}
+
+
 def _network_config(args, num_classes: int) -> NetworkConfig:
-    module = args.module
-    removal = args.removal_type
-    ratio = args.ratio
-    if removal is not None or (ratio is not None and ratio != "1:1"):
-        module = "proportional"
-    if module == "paired":
-        ratio = "1:1"
-        removal = "none" if args.arch != "resnet-preact-bottleneck" else "0"
-    else:
-        if args.arch == "plain":
-            ratio = ratio or "2:1"
-            removal = "none"
-        else:
-            ratio = "1:1"
-            removal = removal or {"resnet-preact": "first",
-                                  "resnet-preact-bottleneck": "1",
-                                  "dfn-mr1": "type1"}[args.arch]
-    stage_blocks = None
-    if args.stage_blocks:
-        stage_blocks = tuple(int(x) for x in args.stage_blocks.split(","))
-    return NetworkConfig(
-        family=args.arch,
-        depth=args.depth if stage_blocks is None else None,
-        stage_blocks=stage_blocks,
-        num_classes=num_classes,
-        ratio=ratio,
-        removal=removal,
-        pairing=args.pairing,
-        drop_bn_with_relu=args.drop_bn_with_relu,
-        seed=args.seed,
+    """The network a command line asks for; ``NetworkConfig`` refuses flags
+    its family cannot build."""
+    variant = {"ratio": "1:1", "removal": "none"}
+    if args.module == "proportional":
+        variant.update(_PROPORTIONAL[args.arch])
+    given = {"ratio": args.ratio, "removal": args.removal_type}
+    variant.update((k, v) for k, v in given.items() if v is not None)
+    blocks = tuple(int(x) for x in args.stage_blocks.split(",")) if args.stage_blocks else None
+    return NetworkConfig(family=args.arch, depth=None if blocks else args.depth,
+                         stage_blocks=blocks, num_classes=num_classes, pairing=args.pairing,
+                         drop_bn_with_relu=args.drop_bn_with_relu, seed=args.seed, **variant)
+
+
+def _train_configs(args) -> tuple:
+    """The resolved (NetworkConfig, TrainConfig) of a train command line."""
+    net_cfg = _network_config(args, 100 if args.dataset == "cifar100" else 10)
+    return net_cfg, TrainConfig(
+        epochs=args.epochs, batch_size=args.batch_size, base_lr=args.lr,
+        momentum=args.momentum, nesterov=args.nesterov, weight_decay=args.weight_decay,
+        seed=args.seed, augment=not args.no_augment,
     )
 
 
-def _load_datasets(args, seed: int):
+def _load(args, split: str):
+    """One split of the command line's dataset; --subset draws from the train split."""
     if args.dataset == "synthetic":
-        train = make_synthetic(10, args.synthetic_count, seed, split="train")
-        test = make_synthetic(10, max(args.synthetic_count // 4, 10), seed + 1, split="test")
-        return train, test
-    subset = (args.subset, seed) if args.subset is not None else None
-    train = load_cifar(args.data_dir, args.dataset, "train", subset=subset)
-    test = load_cifar(args.data_dir, args.dataset, "test")
-    return train, test
+        if split == "train":
+            return make_synthetic(10, args.synthetic_count, args.seed, split="train")
+        return make_synthetic(10, max(args.synthetic_count // 4, 10), args.seed + 1, split="test")
+    subset = (args.subset, args.seed) if split == "train" and args.subset is not None else None
+    return load_cifar(args.data_dir, args.dataset, split, subset=subset)
 
 
 def _run_id(cfg: NetworkConfig) -> str:
     """Directory name of a train run: distinct for every distinct resolved config."""
     bits = [cfg.family, f"d{cfg.depth}" if cfg.depth is not None
             else "b" + "-".join(map(str, cfg.stage_blocks))]
-    removed = [v.replace(":", "-") for v in (cfg.ratio, cfg.removal)
-               if v not in ("1:1", "none", "0")]
-    bits += ["proportional", *removed] if removed else ["paired"]
+    bits += ["proportional", cfg.variant.replace(":", "-")] if cfg.variant else ["paired"]
     if cfg.pairing != "post":
         bits.append(cfg.pairing)
     if cfg.drop_bn_with_relu:
@@ -216,14 +206,9 @@ def _run_id(cfg: NetworkConfig) -> str:
 def _train_run(args, run_name=None):
     """Load data, build the network, write the manifest and fit one run in
     ``<out>/<run_name or run id>``; returns (run directory, RunRecord)."""
-    train_data, test_data = _load_datasets(args, args.seed)
-    net_cfg = _network_config(args, train_data.num_classes)
+    net_cfg, cfg = _train_configs(args)
+    train_data, test_data = _load(args, "train"), _load(args, "test")
     model = build_network(net_cfg)
-    cfg = TrainConfig(
-        epochs=args.epochs, batch_size=args.batch_size, base_lr=args.lr,
-        momentum=args.momentum, nesterov=args.nesterov, weight_decay=args.weight_decay,
-        seed=args.seed, augment=not args.no_augment,
-    )
     out_dir = Path(args.out) / (run_name or _run_id(net_cfg))
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.txt").write_text(format_manifest(model))
@@ -238,12 +223,13 @@ def cmd_train(args) -> int:
     out_dir, record = _train_run(args)
     print(f"run {out_dir.name}: final test accuracy {record.final_test_acc:.4f} "
           f"(best {record.best_test_acc:.4f}), wall {record.wall_time:.1f}s")
-    print(f"artifacts: {out_dir}/manifest.txt curves.csv ckpt-best.bin ckpt-final.bin")
+    names = ("manifest.txt", "curves.csv", "ckpt-best.bin", "ckpt-final.bin")
+    print(f"artifacts: {out_dir}/{' '.join(n for n in names if (out_dir / n).is_file())}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    _, test_data = _load_datasets(args, args.seed)
+    test_data = _load(args, "test")
     if args.manifest:
         header, _ = parse_manifest(Path(args.manifest).read_text())
         net_cfg = config_from_manifest_header(header)
@@ -251,15 +237,13 @@ def cmd_eval(args) -> int:
         net_cfg = _network_config(args, test_data.num_classes)
     model = build_network(net_cfg)
     load_training_state(args.ckpt, model)
-    acc = evaluate(model, test_data)
-    print(f"test accuracy {acc:.4f} ({len(test_data)} samples)")
+    print(f"test accuracy {evaluate(model, test_data):.4f} ({len(test_data)} samples)")
     return EXIT_OK
 
 
 def cmd_audit(args) -> int:
     net_cfg = _network_config(args, args.classes)
-    model = build_network(net_cfg)
-    summary = summarize(model)
+    summary = summarize(build_network(net_cfg))
     r = summary.report
     print(f"arch={args.arch} depth={args.depth} ratio={net_cfg.ratio} removal={net_cfg.removal}")
     print(f"param_count={r.param_count} flops_conv={r.flops_conv} flops_relu={r.flops_relu}")
@@ -299,7 +283,7 @@ def cmd_collapse_check(args) -> int:
                    stride=1, padding=k // 2)
     b = ConvParams(Tensor(rng.standard_normal((args.out_channels, args.mid_channels, k, k))),
                    stride=1, padding=k // 2)
-    interior = args.interior
+    interior = None if args.interior == "none" else args.interior
     if interior == "bn":
         interior = BatchNormState(
             gamma=rng.standard_normal(args.mid_channels) * 0.5 + 1.0,
@@ -307,65 +291,66 @@ def cmd_collapse_check(args) -> int:
             running_mean=rng.standard_normal(args.mid_channels) * 0.1,
             running_var=np.abs(rng.standard_normal(args.mid_channels)) + 0.5,
         )
-    elif interior == "none":
-        interior = None
     report = collapse_check(a, b, interior=interior, probes=args.probes,
                             seed=args.seed, threshold=args.threshold)
-    expected_collapse = args.interior in ("none", "bn")
-    ok = report.collapsible == expected_collapse
+    ok = report.collapsible == (args.interior in ("none", "bn"))
     print(str(report))
     print("PASS" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
 def _cell_args(base: dict, cell: dict, seed: int, out_root: str) -> list:
-    merged = {**base, **cell}
-    argv = ["train", "--seed", str(seed), "--out", str(Path(out_root) / merged["name"])]
-    flag_map = {
-        "arch": "--arch", "depth": "--depth", "module": "--module", "ratio": "--ratio",
-        "removal_type": "--removal-type", "pairing": "--pairing", "dataset": "--dataset",
-        "data_dir": "--data-dir", "subset": "--subset", "synthetic_count": "--synthetic-count",
-        "epochs": "--epochs", "batch_size": "--batch-size", "lr": "--lr",
-        "momentum": "--momentum", "weight_decay": "--weight-decay", "workers": "--workers",
-        "stage_blocks": "--stage-blocks",
-    }
-    for key, flag in flag_map.items():
-        if merged.get(key) is not None:
-            argv += [flag, str(merged[key])]
-    if merged.get("drop_bn_with_relu"):
-        argv.append("--drop-bn-with-relu")
-    if merged.get("no_augment"):
-        argv.append("--no-augment")
-    if merged.get("nesterov") is False:
-        argv.append("--no-nesterov")
+    """The train command line of one (cell, seed): each key is a train option's
+    dest, a bool that differs from the option's default becomes ``--x`` or ``--no-x``."""
+    defaults = vars(build_parser().parse_args(["train"]))
+    argv = ["train", "--seed", str(seed), "--out", str(Path(out_root) / cell["name"])]
+    for key, value in {**base, **cell}.items():
+        if key == "name":
+            continue
+        if key in ("command", "seed", "out", "resume"):
+            raise ValueError(f"sweep key {key!r} is set by the sweep itself")
+        if key not in defaults:
+            raise ValueError(f"unknown sweep key {key!r}: keys are train option names "
+                             f"with '_' for '-'")
+        flag = "--" + key.replace("_", "-")
+        if isinstance(defaults[key], bool):
+            if value != defaults[key]:
+                argv.append(flag if value else "--no-" + flag[2:])
+        elif value is not None:
+            argv += [flag, str(value)]
     return argv
 
 
-def _run_sweep_cell(payload):
+def _run_sweep_cell(job):
     """One (cell, seed) run; module-level so process pools can pickle it."""
-    base, cell, seed, out_root = payload
-    parser = build_parser()
-    args = parser.parse_args(_cell_args(base, cell, seed, out_root))
-    _, record = _train_run(args, f"seed{seed}")
-    return cell["name"], seed, record.final_test_acc
+    _, seed, args = job
+    return _train_run(args, f"seed{seed}")[1].final_test_acc
 
 
 def cmd_sweep(args) -> int:
     spec_path = Path(args.spec)
     if not spec_path.is_file():
-        print(f"sweep spec not found: {spec_path}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"sweep spec not found: {spec_path}")
     spec = json.loads(spec_path.read_text())
     cells = spec.get("cells") or []
     if not cells:
-        print("sweep spec has no cells", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("sweep spec has no cells")
     repeats = int(spec.get("repeats", 5))
     base = {k: v for k, v in spec.items() if k not in ("cells", "repeats")}
     for i, cell in enumerate(cells):
         cell.setdefault("name", f"cell{i}")
 
-    jobs = [(base, cell, seed, args.out) for cell in cells for seed in range(repeats)]
+    # every run is resolved before any starts, so a bad cell costs no training
+    parser = build_parser()
+    jobs, net_cfgs = [], {}
+    for cell in cells:
+        for seed in range(repeats):
+            try:  # a value argparse cannot read exits 1 here, naming its flag
+                run_args = parser.parse_args(_cell_args(base, cell, seed, args.out))
+                net_cfgs[cell["name"]], _ = _train_configs(run_args)
+            except ValueError as err:
+                raise ValueError(f"sweep cell {cell['name']} seed {seed}: {err}") from None
+            jobs.append((cell["name"], seed, run_args))
     results, failures = {}, []
     # spawned, not forked: forking a process whose BLAS threads run is unsafe
     pool = (ProcessPoolExecutor(args.parallel, mp_context=multiprocessing.get_context("spawn"))
@@ -374,12 +359,11 @@ def cmd_sweep(args) -> int:
         # each run is a zero-argument call: a pool future's result, or the run itself
         runs = ([pool.submit(_run_sweep_cell, job).result for job in jobs] if pool
                 else [partial(_run_sweep_cell, job) for job in jobs])
-        for job, run in zip(jobs, runs):
+        for (name, seed, _), run in zip(jobs, runs):
             try:
-                name, seed, acc = run()
-                results.setdefault(name, []).append((seed, acc))
+                results.setdefault(name, []).append((seed, run()))
             except (Exception, SystemExit) as err:  # keep completed cells
-                failures.append((job[1]["name"], job[2], str(err)))
+                failures.append((name, seed, str(err)))
 
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
@@ -391,9 +375,10 @@ def cmd_sweep(args) -> int:
         if not finals:
             continue
         mean, std = aggregate_runs(finals)
-        merged = {**base, **cell}
-        rows.append(f"{name},{merged.get('arch', 'plain')},{merged.get('depth', '')},"
-                    f"{merged.get('module', 'paired')},{len(finals)},{mean:.6f},{std:.6f}")
+        cfg = net_cfgs[name]
+        rows.append(f"{name},{cfg.family},{'' if cfg.depth is None else cfg.depth},"
+                    f"{'proportional' if cfg.variant else 'paired'},{len(finals)},"
+                    f"{mean:.6f},{std:.6f}")
         if mean > best[1]:
             best = (name, mean)
     (out_root / "results.csv").write_text("\n".join(rows) + "\n")
@@ -429,7 +414,7 @@ def main(argv=None) -> int:
     except CheckpointError as err:
         print(f"checkpoint error: {err}", file=sys.stderr)
         return EXIT_DATA
-    except (LinearModuleError, DepthError, ValueError) as err:
+    except ValueError as err:  # a linear module or an invalid depth among them
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

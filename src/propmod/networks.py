@@ -39,8 +39,8 @@ class NetworkConfig:
     num_classes: int = 10
     stage_widths: tuple = (16, 32, 64)
     stage_blocks: tuple | None = None    # overrides depth when given
-    ratio: str = "1:1"                   # plain family
-    removal: str = "none"                # residual/merge families
+    ratio: str = "1:1"                   # plain family only
+    removal: str = "none"                # residual/merge families only
     pairing: str = "post"                # plain family only
     drop_bn_with_relu: bool = False
     seed: int = 0
@@ -55,6 +55,19 @@ class NetworkConfig:
             raise ValueError("stage_widths must name three stages")
         if self.depth is None and self.stage_blocks is None:
             raise ValueError("give either a depth or explicit stage_blocks")
+        # each family has one ReLU variant field; the others must keep their paired value
+        unused = {"removal": "none"} if self.family == "plain" else {"ratio": "1:1",
+                                                                    "pairing": "post"}
+        for name, paired in unused.items():
+            if getattr(self, name) != paired:
+                raise ValueError(f"the {self.family} family has no {name} setting: "
+                                 f"got {getattr(self, name)!r}, expected {paired!r}")
+
+    @property
+    def variant(self) -> str | None:
+        """The ReLU variant: the plain family's ratio, another's removal; None if paired."""
+        value = self.ratio if self.family == "plain" else str(self.removal)
+        return None if value in ("1:1", "none", "0") else value
 
 
 def _template_block(cfg: NetworkConfig) -> BlockSpec:
@@ -64,8 +77,8 @@ def _template_block(cfg: NetworkConfig) -> BlockSpec:
     if cfg.family == "resnet-preact":
         return build_preact_building(str(cfg.removal), drop_bn_with_relu=cfg.drop_bn_with_relu)
     if cfg.family == "resnet-preact-bottleneck":
-        removal = 0 if cfg.removal in ("none", "0", 0) else int(cfg.removal)
-        return build_preact_bottleneck(removal, drop_bn_with_relu=cfg.drop_bn_with_relu)
+        return build_preact_bottleneck(int(cfg.variant or 0),
+                                       drop_bn_with_relu=cfg.drop_bn_with_relu)
     return build_merge_run(str(cfg.removal), drop_bn_with_relu=cfg.drop_bn_with_relu)
 
 
@@ -185,7 +198,7 @@ def build_network(cfg: NetworkConfig) -> Model:
     store = ParamStore(cfg.precision)
     seed = cfg.seed
 
-    is_pre = template.pairing == "pre" or (cfg.family == "plain" and cfg.pairing == "pre")
+    is_pre = template.pairing == "pre"
     stem_width = cfg.stage_widths[0]
     stem_conv = Conv2d(store, "stem.conv", 3, stem_width, 3, stride=1, seed=seed)
     stem_bn = None if is_pre else BatchNorm2d(store, "stem.bn", stem_width)
@@ -293,15 +306,11 @@ def parse_manifest(text: str):
 def config_from_manifest_header(header: dict) -> NetworkConfig:
     depth = None if header["depth"] == "custom" else int(header["depth"])
     return NetworkConfig(
-        family=header["family"],
         depth=depth,
         stage_blocks=tuple(int(x) for x in header["blocks"].split(",")) if depth is None else None,
         stage_widths=tuple(int(x) for x in header["widths"].split(",")),
-        ratio=header["ratio"],
-        removal=header["removal"],
-        pairing=header["pairing"],
         drop_bn_with_relu=header.get("drop_bn") == "1",
         num_classes=int(header["classes"]),
         seed=int(header["seed"]),
-        precision=header["precision"],
+        **{k: header[k] for k in ("family", "ratio", "removal", "pairing", "precision")},
     )

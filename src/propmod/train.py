@@ -47,6 +47,8 @@ class TrainConfig:
     augment: bool = True
 
     def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0 <= self.momentum < 1:

@@ -155,6 +155,12 @@ class TestGradcheck:
         result = gradcheck(build, store, eps=1e-5)
         assert result.max_rel_err < 1e-9
 
+    @pytest.mark.parametrize("sample", [0, -3])
+    def test_sample_below_one_rejected(self, sample):
+        store = make_store({"w": np.ones(3)})
+        with pytest.raises(ValueError, match=f"sample of {sample} coordinates"):
+            gradcheck(lambda tape: tape.sum(tape.param("w")), store, sample=sample)
+
     def test_single_conv_layer(self):
         rng = seeded_rng(0, "gc-conv")
         x = rng.standard_normal((2, 2, 6, 6))

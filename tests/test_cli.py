@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 
 import propmod
-from propmod.cli import main
+from propmod.cli import _cell_args, _run_id, _train_configs, build_parser, main
+from propmod.data import load_or_compute_norm_stats
+from propmod.networks import build_network, format_manifest
 
 GOLDEN = Path(__file__).parent / "golden"
+DEMOS = Path(__file__).parent.parent / "demos"
 # the directory holding the imported propmod, so a child process runs the code
 # under test whether it comes from a checkout (PYTHONPATH=src) or an install
 PACKAGE_ROOT = str(Path(propmod.__file__).resolve().parent.parent)
@@ -274,3 +277,267 @@ class TestSweepCommand:
         assert any(line.startswith("good,") for line in lines)
         assert not any(line.startswith("bad,") for line in lines)
         assert "FAILED cell bad" in capsys.readouterr().err
+
+
+# Network flags of the command lines in this file, README's CLI section and
+# demos/06, then each family's --module proportional default and the spellings
+# that resolve to a paired network. Each pins the run id and manifest header the
+# line has always produced; the one change is the paired bottleneck's
+# removal=none (it was removal=0).
+RESOLVED = [
+    ("--arch plain --depth 8 --seed 3",
+     "plain-d8-paired-s3",
+     "family=plain depth=8 blocks=1,1,1 widths=16,32,64 "
+     "ratio=1:1 removal=none pairing=post drop_bn=0 classes=10 seed=3 precision=single"),
+    ("--arch plain --depth 38 --module proportional --ratio 2:1 --dataset cifar100",
+     "plain-d38-proportional-2-1-c100-s0",
+     "family=plain depth=38 blocks=6,6,6 widths=16,32,64 "
+     "ratio=2:1 removal=none pairing=post drop_bn=0 classes=100 seed=0 precision=single"),
+    ("--arch resnet-preact-bottleneck --depth 11 --removal-type 2",
+     "resnet-preact-bottleneck-d11-proportional-2-s0",
+     "family=resnet-preact-bottleneck depth=11 blocks=1,1,1 widths=16,32,64 "
+     "ratio=1:1 removal=2 pairing=post drop_bn=0 classes=10 seed=0 precision=single"),
+    ("--arch resnet-preact-bottleneck --depth 11 --removal-type 3",
+     "resnet-preact-bottleneck-d11-proportional-3-s0",
+     "family=resnet-preact-bottleneck depth=11 blocks=1,1,1 widths=16,32,64 "
+     "ratio=1:1 removal=3 pairing=post drop_bn=0 classes=10 seed=0 precision=single"),
+    ("--arch resnet-preact-bottleneck --depth 110 --removal-type 2",
+     "resnet-preact-bottleneck-d110-proportional-2-s0",
+     "family=resnet-preact-bottleneck depth=110 blocks=12,12,12 widths=16,32,64 "
+     "ratio=1:1 removal=2 pairing=post drop_bn=0 classes=10 seed=0 precision=single"),
+    ("--arch plain --depth 8 --pairing pre",
+     "plain-d8-paired-pre-s0",
+     "family=plain depth=8 blocks=1,1,1 widths=16,32,64 "
+     "ratio=1:1 removal=none pairing=pre drop_bn=0 classes=10 seed=0 precision=single"),
+    ("--arch plain --depth 8 --ratio 2:1",
+     "plain-d8-proportional-2-1-s0",
+     "family=plain depth=8 blocks=1,1,1 widths=16,32,64 "
+     "ratio=2:1 removal=none pairing=post drop_bn=0 classes=10 seed=0 precision=single"),
+    ("--arch plain --depth 8 --ratio 2:1 --drop-bn-with-relu",
+     "plain-d8-proportional-2-1-dropbn-s0",
+     "family=plain depth=8 blocks=1,1,1 widths=16,32,64 "
+     "ratio=2:1 removal=none pairing=post drop_bn=1 classes=10 seed=0 precision=single"),
+    ("--arch plain --depth 8 --dataset cifar100",
+     "plain-d8-paired-c100-s0",
+     "family=plain depth=8 blocks=1,1,1 widths=16,32,64 "
+     "ratio=1:1 removal=none pairing=post drop_bn=0 classes=100 seed=0 precision=single"),
+    ("--arch resnet-preact-bottleneck --depth 29 --module paired",
+     "resnet-preact-bottleneck-d29-paired-s0",
+     "family=resnet-preact-bottleneck depth=29 blocks=3,3,3 widths=16,32,64 "
+     "ratio=1:1 removal=none pairing=post drop_bn=0 classes=10 seed=0 precision=single"),
+    ("--arch resnet-preact-bottleneck --depth 29 --removal-type 1",
+     "resnet-preact-bottleneck-d29-proportional-1-s0",
+     "family=resnet-preact-bottleneck depth=29 blocks=3,3,3 widths=16,32,64 "
+     "ratio=1:1 removal=1 pairing=post drop_bn=0 classes=10 seed=0 precision=single"),
+    ("--arch resnet-preact --depth 8 --removal-type first",
+     "resnet-preact-d8-proportional-first-s0",
+     "family=resnet-preact depth=8 blocks=1,1,1 widths=16,32,64 "
+     "ratio=1:1 removal=first pairing=post drop_bn=0 classes=10 seed=0 precision=single"),
+    ("--arch plain --depth 8 --module paired",
+     "plain-d8-paired-s0",
+     "family=plain depth=8 blocks=1,1,1 widths=16,32,64 "
+     "ratio=1:1 removal=none pairing=post drop_bn=0 classes=10 seed=0 precision=single"),
+    ("--arch plain --depth 8 --module proportional --ratio 2:1",
+     "plain-d8-proportional-2-1-s0",
+     "family=plain depth=8 blocks=1,1,1 widths=16,32,64 "
+     "ratio=2:1 removal=none pairing=post drop_bn=0 classes=10 seed=0 precision=single"),
+    ("--arch resnet-preact-bottleneck --depth 110 --removal-type 1",
+     "resnet-preact-bottleneck-d110-proportional-1-s0",
+     "family=resnet-preact-bottleneck depth=110 blocks=12,12,12 widths=16,32,64 "
+     "ratio=1:1 removal=1 pairing=post drop_bn=0 classes=10 seed=0 precision=single"),
+    ("--arch plain --depth 38",
+     "plain-d38-paired-s0",
+     "family=plain depth=38 blocks=6,6,6 widths=16,32,64 "
+     "ratio=1:1 removal=none pairing=post drop_bn=0 classes=10 seed=0 precision=single"),
+    ("--arch plain --depth 38 --module proportional --ratio 2:1",
+     "plain-d38-proportional-2-1-s0",
+     "family=plain depth=38 blocks=6,6,6 widths=16,32,64 "
+     "ratio=2:1 removal=none pairing=post drop_bn=0 classes=10 seed=0 precision=single"),
+    ("--arch plain --depth 8 --module proportional",
+     "plain-d8-proportional-2-1-s0",
+     "family=plain depth=8 blocks=1,1,1 widths=16,32,64 "
+     "ratio=2:1 removal=none pairing=post drop_bn=0 classes=10 seed=0 precision=single"),
+    ("--arch resnet-preact --depth 8 --module proportional",
+     "resnet-preact-d8-proportional-first-s0",
+     "family=resnet-preact depth=8 blocks=1,1,1 widths=16,32,64 "
+     "ratio=1:1 removal=first pairing=post drop_bn=0 classes=10 seed=0 precision=single"),
+    ("--arch resnet-preact-bottleneck --depth 11 --module proportional",
+     "resnet-preact-bottleneck-d11-proportional-1-s0",
+     "family=resnet-preact-bottleneck depth=11 blocks=1,1,1 widths=16,32,64 "
+     "ratio=1:1 removal=1 pairing=post drop_bn=0 classes=10 seed=0 precision=single"),
+    ("--arch dfn-mr1 --depth 8 --module proportional",
+     "dfn-mr1-d8-proportional-type1-s0",
+     "family=dfn-mr1 depth=8 blocks=1,1,1 widths=16,32,64 "
+     "ratio=1:1 removal=type1 pairing=post drop_bn=0 classes=10 seed=0 precision=single"),
+    ("--arch dfn-mr1 --depth 8 --removal-type type2",
+     "dfn-mr1-d8-proportional-type2-s0",
+     "family=dfn-mr1 depth=8 blocks=1,1,1 widths=16,32,64 "
+     "ratio=1:1 removal=type2 pairing=post drop_bn=0 classes=10 seed=0 precision=single"),
+    ("--arch resnet-preact --depth 8",
+     "resnet-preact-d8-paired-s0",
+     "family=resnet-preact depth=8 blocks=1,1,1 widths=16,32,64 "
+     "ratio=1:1 removal=none pairing=post drop_bn=0 classes=10 seed=0 precision=single"),
+    ("--arch dfn-mr1 --depth 8",
+     "dfn-mr1-d8-paired-s0",
+     "family=dfn-mr1 depth=8 blocks=1,1,1 widths=16,32,64 "
+     "ratio=1:1 removal=none pairing=post drop_bn=0 classes=10 seed=0 precision=single"),
+    ("--arch resnet-preact --depth 8 --ratio 1:1",
+     "resnet-preact-d8-paired-s0",
+     "family=resnet-preact depth=8 blocks=1,1,1 widths=16,32,64 "
+     "ratio=1:1 removal=none pairing=post drop_bn=0 classes=10 seed=0 precision=single"),
+    ("--arch resnet-preact --depth 8 --module proportional --ratio 1:1",
+     "resnet-preact-d8-proportional-first-s0",
+     "family=resnet-preact depth=8 blocks=1,1,1 widths=16,32,64 "
+     "ratio=1:1 removal=first pairing=post drop_bn=0 classes=10 seed=0 precision=single"),
+    ("--arch plain --depth 8 --module proportional --ratio 1:1",
+     "plain-d8-paired-s0",
+     "family=plain depth=8 blocks=1,1,1 widths=16,32,64 "
+     "ratio=1:1 removal=none pairing=post drop_bn=0 classes=10 seed=0 precision=single"),
+    ("--arch plain --depth 8 --module proportional --removal-type none",
+     "plain-d8-proportional-2-1-s0",
+     "family=plain depth=8 blocks=1,1,1 widths=16,32,64 "
+     "ratio=2:1 removal=none pairing=post drop_bn=0 classes=10 seed=0 precision=single"),
+    ("--arch resnet-preact-bottleneck --depth 11 --removal-type 0",
+     "resnet-preact-bottleneck-d11-paired-s0",
+     "family=resnet-preact-bottleneck depth=11 blocks=1,1,1 widths=16,32,64 "
+     "ratio=1:1 removal=0 pairing=post drop_bn=0 classes=10 seed=0 precision=single"),
+    ("--arch resnet-preact-bottleneck --depth 11 --removal-type none",
+     "resnet-preact-bottleneck-d11-paired-s0",
+     "family=resnet-preact-bottleneck depth=11 blocks=1,1,1 widths=16,32,64 "
+     "ratio=1:1 removal=none pairing=post drop_bn=0 classes=10 seed=0 precision=single"),
+    ("--arch plain --stage-blocks 1,2,1 --ratio 3:2 --pairing pre --seed 2",
+     "plain-b1-2-1-proportional-3-2-pre-s2",
+     "family=plain depth=custom blocks=1,2,1 widths=16,32,64 "
+     "ratio=3:2 removal=none pairing=pre drop_bn=0 classes=10 seed=2 precision=single"),
+    ("--arch resnet-preact --stage-blocks 2,1,1 --removal-type second --drop-bn-with-relu",
+     "resnet-preact-b2-1-1-proportional-second-dropbn-s0",
+     "family=resnet-preact depth=custom blocks=2,1,1 widths=16,32,64 "
+     "ratio=1:1 removal=second pairing=post drop_bn=1 classes=10 seed=0 precision=single"),
+    ("--arch plain --depth 84 --ratio 2:1",
+     "plain-d84-proportional-2-1-s0",
+     "family=plain depth=84 blocks=14,14,13 widths=16,32,64 "
+     "ratio=2:1 removal=none pairing=post drop_bn=0 classes=10 seed=0 precision=single"),
+]
+
+# a tiny synthetic run, so a command line that resolves trains in a second
+TINY = ["--dataset", "synthetic", "--synthetic-count", "8", "--epochs", "1",
+        "--batch-size", "8", "--no-augment"]
+
+
+class TestResolution:
+    @pytest.mark.parametrize("flags,run_id,header", RESOLVED)
+    def test_accepted_line_keeps_run_id_and_manifest(self, flags, run_id, header):
+        net_cfg, _ = _train_configs(build_parser().parse_args(["train", *flags.split()]))
+        assert _run_id(net_cfg) == run_id
+        assert format_manifest(build_network(net_cfg)).splitlines()[0] == header
+
+    @pytest.mark.parametrize("flags,named", [
+        ("--arch resnet-preact --ratio 3:2", "ratio"),
+        ("--arch resnet-preact --module proportional --ratio 2:1", "ratio"),
+        ("--arch plain --removal-type first", "removal"),
+        ("--arch plain --module proportional --removal-type type1", "removal"),
+        ("--arch dfn-mr1 --pairing pre", "pairing"),
+        ("--arch resnet-preact-bottleneck --depth 11 --pairing pre", "pairing"),
+        ("--arch plain --epochs 0", "epochs"),
+    ])
+    def test_refused_flag_exits_one_before_any_run(self, flags, named, tmp_path, capsys):
+        code = main(["train", "--depth", "8", *TINY, *flags.split(),
+                     "--out", str(tmp_path / "runs")])
+        assert code == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_audit_refuses_flag_family_cannot_build(self, capsys):
+        assert main(["audit", "--arch", "resnet-preact", "--depth", "8", "--ratio", "3:2"]) == 1
+        assert "ratio" in capsys.readouterr().err
+
+    def test_old_manifest_with_pre_residual_refused(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("family=dfn-mr1 depth=8 blocks=1,1,1 widths=16,32,64 ratio=1:1 "
+                            "removal=none pairing=pre drop_bn=0 classes=10 seed=0 "
+                            "precision=single\n")
+        code = main(["eval", "--dataset", "synthetic", "--ckpt", str(tmp_path / "ckpt.bin"),
+                     "--manifest", str(manifest)])
+        assert code == 1
+        assert "pairing" in capsys.readouterr().err
+
+    @staticmethod
+    def sweep_with_bad_cell(tmp_path, cell):
+        spec = tmp_path / "spec.json"
+        cells = [{"name": "good", "arch": "plain", "depth": 8}, {"name": "bad", **cell}]
+        spec.write_text(json.dumps({"dataset": "synthetic", "synthetic_count": 8, "epochs": 1,
+                                    "batch_size": 8, "repeats": 1, "cells": cells}))
+        return ["sweep", str(spec), "--out", str(tmp_path / "out")]
+
+    @pytest.mark.parametrize("cell,named", [
+        ({"arch": "plain", "depth": 8, "ratoi": "2:1"}, "'ratoi'"),
+        ({"arch": "resnet-preact", "depth": 8, "ratio": "3:2"}, "ratio"),
+        ({"arch": "plain", "depth": 8, "epochs": 0}, "epochs"),
+        ({"arch": "plain", "depth": 8, "seed": 3}, "'seed'"),
+    ])
+    def test_bad_sweep_cell_exits_one_before_any_run(self, cell, named, tmp_path, capsys):
+        assert main(self.sweep_with_bad_cell(tmp_path, cell)) == 1
+        err = capsys.readouterr().err
+        assert named in err and "sweep cell bad" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_unreadable_sweep_value_exits_one_before_any_run(self, tmp_path, capsys):
+        # argparse rejects the value as it rejects it on a command line
+        with pytest.raises(SystemExit) as exc:
+            main(self.sweep_with_bad_cell(tmp_path, {"arch": "plain", "depth": "eight"}))
+        assert exc.value.code == 1
+        assert "argument --depth: invalid int value: 'eight'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_bools_differ_from_option_defaults(self):
+        argv = _cell_args({"no_augment": True, "nesterov": True},
+                          {"name": "c", "nesterov": False, "drop_bn_with_relu": False,
+                           "depth": None}, 0, "out")
+        assert argv == ["train", "--seed", "0", "--out", str(Path("out") / "c"),
+                        "--no-augment", "--no-nesterov"]
+
+    def test_cell_setting_only_ratio_is_listed_proportional(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"dataset": "synthetic", "synthetic_count": 8, "epochs": 1,
+                                    "batch_size": 8, "repeats": 1, "cells": [
+                                        {"name": "prop", "arch": "plain", "ratio": "2:1",
+                                         "depth": 8}]}))
+        assert main(["sweep", str(spec), "--out", str(tmp_path / "out")]) == 0
+        row = (tmp_path / "out" / "results.csv").read_text().splitlines()[1]
+        assert row.startswith("prop,plain,8,proportional,1,")
+
+
+class TestCommandChecks:
+    def test_gradcheck_sample_zero_is_usage_error(self, capsys):
+        assert main(["gradcheck", "--sample", "0"]) == 1
+        assert "sample of 0" in capsys.readouterr().err
+
+    def test_train_lists_only_written_artifacts(self, tmp_path, capsys):
+        assert main(["train", *PLAIN8, *TINY, "--out", str(tmp_path)]) == 0
+        listed = capsys.readouterr().out.splitlines()[-1].split("/")[-1].split()
+        written = sorted(p.name for p in (tmp_path / "plain-d8-paired-s0").iterdir())
+        assert sorted(listed) == written
+
+    def test_eval_reads_only_the_test_split(self, cifar10_dir, tmp_path, capsys):
+        test_only = tmp_path / "test-only"
+        test_only.mkdir()
+        (test_only / "test_batch.bin").write_bytes((cifar10_dir / "test_batch.bin").read_bytes())
+        load_or_compute_norm_stats(cifar10_dir, "cifar10")
+        (test_only / "normalization-cifar10.json").write_bytes(
+            (cifar10_dir / "normalization-cifar10.json").read_bytes())
+        assert main(["train", *PLAIN8, *TINY, "--out", str(tmp_path / "runs")]) == 0
+        ckpt = tmp_path / "runs" / "plain-d8-paired-s0" / "ckpt-final.bin"
+        code = main(["eval", *PLAIN8, "--dataset", "cifar10", "--data-dir", str(test_only),
+                     "--ckpt", str(ckpt)])
+        assert code == 0
+        assert "(20 samples)" in capsys.readouterr().out
+
+
+class TestDemos:
+    @pytest.mark.parametrize("demo", ["01_kernels_and_autograd", "02_block_families",
+                                      "03_zero_cost_audit", "04_linear_collapse"])
+    def test_fast_demo_runs(self, demo, tmp_path):
+        result = subprocess.run([sys.executable, str(DEMOS / f"{demo}.py")], cwd=tmp_path,
+                                capture_output=True, text=True,
+                                env={"PATH": "/usr/bin:/bin", "PYTHONPATH": PACKAGE_ROOT})
+        assert result.returncode == 0, result.stderr

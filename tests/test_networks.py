@@ -54,6 +54,32 @@ class TestDepths:
         model = build_network(cfg)
         assert [len(s) for s in model.stages] == [1, 2, 1]
 
+    @pytest.mark.parametrize("family,field,value", [
+        ("resnet-preact", "ratio", "3:2"),
+        ("resnet-preact-bottleneck", "ratio", "2:1"),
+        ("dfn-mr1", "pairing", "pre"),
+        ("resnet-preact", "pairing", "pre"),
+        ("plain", "removal", "first"),
+        ("plain", "removal", "0"),
+    ])
+    def test_setting_family_cannot_build_rejected(self, family, field, value):
+        with pytest.raises(ValueError, match=f"{family} family has no {field} setting"):
+            NetworkConfig(family=family, depth=8, **{field: value})
+
+    @pytest.mark.parametrize("family,kw,variant", [
+        ("plain", {}, None),
+        ("plain", {"ratio": "2:1"}, "2:1"),
+        ("plain", {"ratio": "3:2", "pairing": "pre"}, "3:2"),
+        ("resnet-preact", {}, None),
+        ("resnet-preact", {"removal": "first"}, "first"),
+        ("resnet-preact-bottleneck", {"removal": "0"}, None),
+        ("resnet-preact-bottleneck", {"removal": 0}, None),
+        ("resnet-preact-bottleneck", {"removal": 2}, "2"),
+        ("dfn-mr1", {"removal": "type2"}, "type2"),
+    ])
+    def test_variant_is_none_when_paired(self, family, kw, variant):
+        assert NetworkConfig(family=family, depth=8, **kw).variant == variant
+
     def test_classes_validated(self):
         with pytest.raises(ValueError):
             NetworkConfig(family="plain", depth=8, num_classes=7)

@@ -87,6 +87,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig(lr_milestones=(0.0, 0.5))
 
+    @pytest.mark.parametrize("epochs", [0, -2])
+    def test_epochs_below_one_rejected(self, epochs):
+        with pytest.raises(ValueError, match=f"epochs must be >= 1, got {epochs}"):
+            TrainConfig(epochs=epochs)
+
     def test_lr_schedule_exact(self):
         cfg = TrainConfig(epochs=100, base_lr=0.4, lr_milestones=(0.5, 0.75), lr_decay=0.1)
         assert cfg.lr_at(0) == 0.4
