@@ -11,22 +11,20 @@ Run:  python demos/04_linear_collapse.py
 
 import numpy as np
 
-from propmod import ConvParams, Tensor, collapse_check
+from propmod import collapse_check
 from propmod.autograd import seeded_rng
 from propmod.layers import BatchNormState
 
 rng = seeded_rng(0, "demo4")
-first = ConvParams(Tensor(rng.standard_normal((3, 2, 3, 3))), stride=1, padding=1)
-second = ConvParams(Tensor(rng.standard_normal((4, 3, 3, 3))), stride=1, padding=1)
+first = rng.standard_normal((3, 2, 3, 3))
+second = rng.standard_normal((4, 3, 3, 3))
 
 print("identity first kernel: the composed kernel is the second, zero-padded")
 delta = np.zeros((2, 2, 3, 3))
 delta[0, 0, 1, 1] = delta[1, 1, 1, 1] = 1.0
-ident = ConvParams(Tensor(delta), stride=1, padding=1)
-report = collapse_check(ident, ConvParams(Tensor(rng.standard_normal((2, 2, 3, 3))),
-                                          stride=1, padding=1))
+report = collapse_check(delta, rng.standard_normal((2, 2, 3, 3)))
 print(f"  composed shape {report.kernel.shape}, border ring all zero:",
-      bool((report.kernel.data[:, :, 0, :] == 0).all()))
+      bool((report.kernel[:, :, 0, :] == 0).all()))
 
 for label, interior in [
     ("no interior", None),

@@ -21,7 +21,7 @@ from .layers import (BatchNorm2d, BatchNormState, Conv2d, Linear,
                      softmax_cross_entropy)
 from .networks import (DepthError, Model, NetworkConfig, build_network,
                        format_manifest, parse_manifest, summarize)
-from .tensor import ConvParams, PrecisionError, ShapeError, Tensor
+from .tensor import PrecisionError, ShapeError, Tensor
 from .train import (NumericalFailure, RunRecord, SGD, TrainConfig, aggregate_runs,
                     evaluate, fit, nesterov_step)
 

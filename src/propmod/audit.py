@@ -10,7 +10,8 @@ identical across variants. The counts and conv FLOPs are also grouped by
 top-level scope (stem, stageN, head), the rows of a network summary.
 
 ``collapse_check`` is the receptive-field composition oracle: two stacked
-stride-1 same-padding convolutions with nothing (or only a per-channel
+convolutions, given as bare OIHW kernels and run as the trunk runs them
+(stride 1, same-size padding k//2), with nothing (or only a per-channel
 affine map, i.e. eval-mode batch norm) between them equal one convolution
 with the composed kernel. An interior ReLU breaks the algebra, and the
 check reports the deviation instead of hiding it.
@@ -26,7 +27,7 @@ from . import kernels
 from .autograd import ParamStore, Tape, seeded_rng
 from .blocks import BlockSpec, make_block, reduce_ratio
 from .layers import BatchNormState
-from .tensor import ConvParams, Tensor, check_same_precision
+from .tensor import ShapeError, check_same_precision
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ def audit(target, input_shape=(1, 3, 32, 32), seed: int = 0) -> RatioReport:
 
 @dataclass
 class CollapseReport:
-    kernel: Tensor              # composed kernel, OIHW
+    kernel: np.ndarray          # composed kernel, OIHW
     bias: np.ndarray            # per-output-channel constant from an affine interior
     padding: int
     max_deviation: float
@@ -160,49 +161,32 @@ def compose_kernels(a: np.ndarray, b: np.ndarray, mid_scale=None) -> np.ndarray:
     return composed
 
 
-def collapse_check(conv_a: ConvParams, conv_b: ConvParams, interior=None,
+def collapse_check(a: np.ndarray, b: np.ndarray, interior=None,
                    probes: int = 10, input_hw=(8, 8), batch: int = 2,
                    seed: int = 0, threshold: float = 1e-8) -> CollapseReport:
-    """Compare a two-conv stack against its composed single convolution.
+    """Compare a two-conv stack, OIHW kernels ``a`` then ``b``, against its
+    composed single convolution. Each conv runs at stride 1 with padding k//2.
 
     ``interior`` is what sits between the convolutions: None, an eval-mode
     :class:`BatchNormState` (a per-channel affine map, which still folds
     into the composition), or the string ``"relu"`` (composed as if absent,
     so the reported deviation exposes the non-collapse).
     """
-    if conv_a.stride != 1 or conv_b.stride != 1:
-        raise ValueError(
-            f"collapse requires stride 1 on both convs (got {conv_a.stride}, {conv_b.stride}): "
-            "a strided stack is not a single convolution"
-        )
-    ka = conv_a.kernel_hw[0]
-    kb = conv_b.kernel_hw[0]
-    if conv_a.padding != ka // 2 or conv_b.padding != kb // 2:
-        raise ValueError("collapse requires same-size (k//2) padding on both convs")
-    if conv_b.in_channels != conv_a.out_channels:
-        raise ValueError(
-            f"channel chain broken: first conv yields {conv_a.out_channels} channels, "
-            f"second expects {conv_b.in_channels}"
-        )
-
-    a = conv_a.kernel.data
-    b = conv_b.kernel.data
+    for kernel in (a, b):
+        if kernel.ndim != 4:
+            raise ShapeError(f"conv kernel must be OIHW rank 4, got shape {kernel.shape}")
+    pad_a, pad_b = a.shape[2] // 2, b.shape[2] // 2
+    scale = shift = None
     if isinstance(interior, BatchNormState):
-        scale, shift = interior.eval_affine()
-        scale = scale.astype(a.dtype)
-        shift = shift.astype(a.dtype)
+        scale, shift = (v.astype(a.dtype) for v in interior.eval_affine())
         interior_kind = "eval-bn"
-    elif interior in (None, "none"):
-        scale = shift = None
-        interior_kind = "none"
-    elif interior == "relu":
-        scale = shift = None
-        interior_kind = "relu"
+    elif interior in (None, "none", "relu"):
+        interior_kind = interior or "none"
     else:
         raise ValueError(f"unsupported interior {interior!r}")
 
-    composed = compose_kernels(a, b, mid_scale=scale)
-    padding = conv_a.padding + conv_b.padding
+    composed = compose_kernels(a, b, mid_scale=scale)  # checks the channel chain
+    padding = pad_a + pad_b
     bias = np.zeros(b.shape[0], dtype=a.dtype)
     if shift is not None:
         # a constant interior shift turns into a per-output-channel constant
@@ -212,7 +196,7 @@ def collapse_check(conv_a: ConvParams, conv_b: ConvParams, interior=None,
     # conv sees the full receptive field there, so the two agree exactly only
     # where the second kernel window stays inside the intermediate map. The
     # probe therefore compares the centered region, cropping kb//2 pixels.
-    crop = conv_b.padding
+    crop = pad_b
     h, w = input_hw
     if h - 2 * crop < 1 or w - 2 * crop < 1:
         raise ValueError(f"probe extent {input_hw} too small for border crop {crop}")
@@ -221,18 +205,18 @@ def collapse_check(conv_a: ConvParams, conv_b: ConvParams, interior=None,
     rng = seeded_rng(seed, "collapse-probe")
     worst = 0.0
     for _ in range(probes):
-        x = rng.standard_normal((batch, conv_a.in_channels, *input_hw)).astype(a.dtype)
-        mid = kernels.conv2d(x, a, stride=1, padding=conv_a.padding)
+        x = rng.standard_normal((batch, a.shape[1], *input_hw)).astype(a.dtype)
+        mid = kernels.conv2d(x, a, stride=1, padding=pad_a)
         if interior_kind == "eval-bn":
             mid = mid * scale[None, :, None, None] + shift[None, :, None, None]
         elif interior_kind == "relu":
             mid = kernels.relu(mid)
-        stacked = kernels.conv2d(mid, b, stride=1, padding=conv_b.padding)
+        stacked = kernels.conv2d(mid, b, stride=1, padding=pad_b)
         direct = kernels.conv2d(x, composed, stride=1, padding=padding) + bias[None, :, None, None]
         worst = max(worst, float(np.abs(stacked[sl] - direct[sl]).max()))
 
     return CollapseReport(
-        kernel=Tensor(composed),
+        kernel=composed,
         bias=bias,
         padding=padding,
         max_deviation=worst,

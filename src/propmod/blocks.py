@@ -1,7 +1,8 @@
 """Block construction for every module family, driven by declarative specs.
 
-A :class:`BlockSpec` pins down one block: its family, how many convolutions
-it stacks, and a boolean mask saying which conv positions keep their ReLU.
+A :class:`BlockSpec` pins down one block: its family, its shape, and a
+boolean mask saying which conv positions keep their ReLU; the mask's length
+is the number of convolutions it stacks, and the BN masks follow from it.
 A paired block has every mask entry true (1:1 conv:ReLU); clearing entries
 yields the proportional variants. Removing a ReLU never touches parameter
 shapes, which is what makes the zero-extra-cost audit meaningful; the
@@ -67,23 +68,16 @@ def format_mask(mask) -> str:
     return "".join("1" if bit else "0" for bit in mask)
 
 
-def parse_mask(text: str) -> tuple:
-    return tuple(ch == "1" for ch in text)
-
-
 @dataclass(frozen=True)
 class BlockSpec:
     family: str
-    conv_count: int
     relu_mask: tuple
-    bn_mask: tuple
     pairing: str
     in_channels: int
     out_channels: int
     stride: int = 1
     mid_channels: int | None = None      # bottleneck 1x1 width
-    relu_mask_b: tuple | None = None     # merge-run second branch
-    bn_mask_b: tuple | None = None
+    drop_bn_with_relu: bool = False
     linear_ok: bool = False
 
     def __post_init__(self):
@@ -91,11 +85,6 @@ class BlockSpec:
             raise ValueError(f"unknown block family {self.family!r}")
         if self.pairing not in PAIRINGS:
             raise ValueError(f"unknown pairing {self.pairing!r}")
-        if len(self.relu_mask) != self.conv_count or len(self.bn_mask) != self.conv_count:
-            raise ValueError(
-                f"mask length must equal conv_count {self.conv_count}: "
-                f"relu {format_mask(self.relu_mask)}, bn {format_mask(self.bn_mask)}"
-            )
         expected = {"resnet-building": 2, "resnet-preact-building": 2,
                     "resnet-preact-bottleneck": 3, "dfn-merge-run": 2}
         if self.family in expected and self.conv_count != expected[self.family]:
@@ -105,11 +94,24 @@ class BlockSpec:
                 f"{self.family}: all ReLUs removed makes a linear module; "
                 "pass linear_ok=True to build it anyway (test use only)"
             )
-        if self.family == "dfn-merge-run":
-            if self.relu_mask_b is None or self.bn_mask_b is None:
-                raise ValueError("merge-run blocks need masks for both branches")
-        elif self.relu_mask_b is not None:
-            raise ValueError("relu_mask_b is only meaningful for merge-run blocks")
+
+    @property
+    def conv_count(self) -> int:
+        return len(self.relu_mask)
+
+    @property
+    def bn_mask(self) -> tuple:
+        """Each conv's BN stays unless ``drop_bn_with_relu`` removes it with its ReLU."""
+        return self.relu_mask if self.drop_bn_with_relu else (True,) * self.conv_count
+
+    @property
+    def relu_mask_b(self) -> tuple | None:
+        """The merge-and-run second branch, always paired; None for other families."""
+        return (True, True) if self.family == "dfn-merge-run" else None
+
+    @property
+    def bn_mask_b(self) -> tuple | None:
+        return self.relu_mask_b
 
     def to_line(self) -> str:
         fields = [
@@ -131,24 +133,6 @@ class BlockSpec:
             fields.append("linear_ok=1")
         return " ".join(fields)
 
-    @classmethod
-    def from_line(cls, line: str) -> "BlockSpec":
-        kv = dict(item.split("=", 1) for item in line.split())
-        return cls(
-            family=kv["family"],
-            conv_count=int(kv["convs"]),
-            relu_mask=parse_mask(kv["relu"]),
-            bn_mask=parse_mask(kv["bn"]),
-            pairing=kv["pairing"],
-            in_channels=int(kv["in"]),
-            out_channels=int(kv["out"]),
-            stride=int(kv["stride"]),
-            mid_channels=int(kv["mid"]) if "mid" in kv else None,
-            relu_mask_b=parse_mask(kv["relu2"]) if "relu2" in kv else None,
-            bn_mask_b=parse_mask(kv["bn2"]) if "bn2" in kv else None,
-            linear_ok=kv.get("linear_ok") == "1",
-        )
-
     def with_shape(self, in_channels: int, out_channels: int, stride: int,
                    mid_channels=None) -> "BlockSpec":
         return replace(self, in_channels=in_channels, out_channels=out_channels,
@@ -157,19 +141,11 @@ class BlockSpec:
 
 def _spec(family: str, masks: dict, removal, drop_bn_with_relu: bool,
           allowed: str | None = None, **fields) -> BlockSpec:
-    """The spec whose ``relu_mask`` is ``masks[removal]``; ``bn_mask`` follows it
-    under ``drop_bn_with_relu``. A merge-and-run spec gets a paired branch 2."""
+    """The spec whose ``relu_mask`` is ``masks[removal]``."""
     if removal not in masks:
         raise ValueError(f"{allowed or f'removal must be one of {sorted(masks)}'}, got {removal!r}")
-
-    def bn_mask(relu_mask):
-        return relu_mask if drop_bn_with_relu else (True,) * len(relu_mask)
-
-    relu_mask = masks[removal]
-    if family == "dfn-merge-run":
-        fields.update(relu_mask_b=(True, True), bn_mask_b=bn_mask((True, True)))
-    return BlockSpec(family=family, conv_count=len(relu_mask), relu_mask=relu_mask,
-                     bn_mask=bn_mask(relu_mask), **fields)
+    return BlockSpec(family=family, relu_mask=masks[removal],
+                     drop_bn_with_relu=drop_bn_with_relu, **fields)
 
 
 def build_plain_module(ratio, pairing: str = "post", *, in_channels: int = 16,

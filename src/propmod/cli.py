@@ -25,9 +25,8 @@ from .autograd import gradcheck, seeded_rng
 from .checkpoint import CheckpointError, load_training_state
 from .data import DataError, load_cifar, make_synthetic
 from .layers import BatchNormState
-from .networks import (NetworkConfig, build_network, config_from_manifest_header,
+from .networks import (FAMILIES, NetworkConfig, build_network, config_from_manifest_header,
                        format_manifest, parse_manifest, summarize)
-from .tensor import ConvParams, Tensor
 from .train import NumericalFailure, TrainConfig, aggregate_runs, evaluate, fit
 
 EXIT_OK = 0
@@ -43,9 +42,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_network_flags(p):
-    p.add_argument("--arch", default="plain",
-                   choices=["plain", "resnet-preact", "resnet-preact-bottleneck", "dfn-mr1"],
-                   help="network family")
+    p.add_argument("--arch", default="plain", choices=FAMILIES, help="network family")
     p.add_argument("--depth", type=int, default=None, help="total weighted-layer count")
     p.add_argument("--stage-blocks", default=None,
                    help="custom per-stage block counts, e.g. 14,14,13 (overrides --depth)")
@@ -231,11 +228,14 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     test_data = _load(args, "test")
     if args.manifest:
-        header, _ = parse_manifest(Path(args.manifest).read_text())
-        net_cfg = config_from_manifest_header(header)
+        text = Path(args.manifest).read_text()
+        model = build_network(config_from_manifest_header(parse_manifest(text)))
+        # the header names the network; its block lines must be the ones it builds
+        if format_manifest(model) != text:
+            raise ValueError(f"manifest {args.manifest} does not match the network "
+                             "its header describes")
     else:
-        net_cfg = _network_config(args, test_data.num_classes)
-    model = build_network(net_cfg)
+        model = build_network(_network_config(args, test_data.num_classes))
     load_training_state(args.ckpt, model)
     print(f"test accuracy {evaluate(model, test_data):.4f} ({len(test_data)} samples)")
     return EXIT_OK
@@ -245,7 +245,9 @@ def cmd_audit(args) -> int:
     net_cfg = _network_config(args, args.classes)
     summary = summarize(build_network(net_cfg))
     r = summary.report
-    print(f"arch={args.arch} depth={args.depth} ratio={net_cfg.ratio} removal={net_cfg.removal}")
+    shape = (f"depth={net_cfg.depth}" if net_cfg.depth is not None
+             else f"depth=custom blocks={','.join(map(str, net_cfg.stage_blocks))}")
+    print(f"arch={net_cfg.family} {shape} ratio={net_cfg.ratio} removal={net_cfg.removal}")
     print(f"param_count={r.param_count} flops_conv={r.flops_conv} flops_relu={r.flops_relu}")
     print(f"trunk_convs={r.n_conv} trunk_relus={r.n_relu} trunk_ratio={r.ratio_text}")
     print(str(summary))
@@ -279,10 +281,8 @@ def cmd_gradcheck(args) -> int:
 def cmd_collapse_check(args) -> int:
     rng = seeded_rng(args.seed, "collapse-cli")
     k = args.kernel
-    a = ConvParams(Tensor(rng.standard_normal((args.mid_channels, args.in_channels, k, k))),
-                   stride=1, padding=k // 2)
-    b = ConvParams(Tensor(rng.standard_normal((args.out_channels, args.mid_channels, k, k))),
-                   stride=1, padding=k // 2)
+    a = rng.standard_normal((args.mid_channels, args.in_channels, k, k))
+    b = rng.standard_normal((args.out_channels, args.mid_channels, k, k))
     interior = None if args.interior == "none" else args.interior
     if interior == "bn":
         interior = BatchNormState(

@@ -47,18 +47,13 @@ class Conv2d:
 
 @dataclass
 class BatchNormState:
-    """Per-channel normalization state, detached from any store.
-
-    In eval mode this is just a per-channel affine map with
-    scale = gamma / sqrt(running_var + eps) and
-    shift = beta - running_mean * scale.
-    """
+    """Per-channel normalization state, detached from any store. In eval
+    mode it is the per-channel affine map of :func:`bn_affine`."""
 
     gamma: np.ndarray
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    epsilon: float = BN_EPSILON
 
     def __post_init__(self):
         c = self.gamma.shape
@@ -68,9 +63,14 @@ class BatchNormState:
             raise ValueError("running_var must be non-negative")
 
     def eval_affine(self) -> tuple:
-        scale = self.gamma / np.sqrt(self.running_var + self.epsilon)
-        shift = self.beta - self.running_mean * scale
-        return scale, shift
+        return bn_affine(self.gamma, self.beta, self.running_mean, self.running_var)
+
+
+def bn_affine(gamma, beta, mean, var, eps: float = BN_EPSILON) -> tuple:
+    """Eval-mode batch norm as (scale, shift): scale = gamma / sqrt(var + eps),
+    shift = beta - mean * scale."""
+    scale = gamma / np.sqrt(var + eps)
+    return scale, beta - mean * scale
 
 
 def batchnorm_train(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float):
@@ -116,8 +116,7 @@ def batchnorm_train_backward(grad: np.ndarray, cache, gamma: np.ndarray):
 
 def batchnorm_eval(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                    mean: np.ndarray, var: np.ndarray, eps: float) -> np.ndarray:
-    scale = gamma / np.sqrt(var + eps)
-    shift = beta - mean * scale
+    scale, shift = bn_affine(gamma, beta, mean, var, eps)
     return x * scale[None, :, None, None] + shift[None, :, None, None]
 
 

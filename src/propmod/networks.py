@@ -290,17 +290,10 @@ def format_manifest(model: Model) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_manifest(text: str):
-    """Returns (header dict, list of (name, BlockSpec))."""
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    header = dict(item.split("=", 1) for item in lines[0].split())
-    blocks = []
-    for line in lines[1:]:
-        assert line.startswith("block ")
-        kv = dict(item.split("=", 1) for item in line[len("block "):].split())
-        name = kv.pop("name")
-        blocks.append((name, BlockSpec.from_line(" ".join(f"{k}={v}" for k, v in kv.items()))))
-    return header, blocks
+def parse_manifest(text: str) -> dict:
+    """The header of a manifest, its first line, as a dict. The block lines
+    follow from it: ``format_manifest`` of the network it builds rewrites them."""
+    return dict(item.split("=", 1) for item in text.partition("\n")[0].split())
 
 
 def config_from_manifest_header(header: dict) -> NetworkConfig:

@@ -7,15 +7,14 @@ mixes the two; attempting to raises :class:`PrecisionError`.
 
 Tensors are immutable once constructed. A ``Tensor`` stands where that
 has to be enforced on an array from elsewhere: input entering a tape
-(``Tape.constant``), the values in a ``ParamStore``, ``ConvParams`` and the
-oracles' reports. Tape nodes hold plain read-only arrays, since kernels
-always allocate fresh outputs, which is what makes every op pure and
-bit-reproducible.
+(``Tape.constant``) and the values in a ``ParamStore``. Tape nodes hold
+plain read-only arrays, since kernels always allocate fresh outputs, which
+is what makes every op pure and bit-reproducible. Convolution kernels pass
+between functions as bare OIHW arrays; stride and padding are arguments of
+the call that runs them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,46 +96,3 @@ def check_same_precision(*arrays) -> np.dtype:
         names = sorted(_NAME_OF_DTYPE.get(d, str(d)) for d in dtypes)
         raise PrecisionError(f"mixed precisions in one op: {names}")
     return dtypes.pop()
-
-
-@dataclass(frozen=True)
-class ConvParams:
-    """Stride/padding/kernel triple for a 2-D convolution.
-
-    Padding is symmetric zero-fill. The kernel is OIHW.
-    """
-
-    kernel: Tensor
-    stride: int = 1
-    padding: int = 0
-
-    def __post_init__(self):
-        if self.kernel.ndim != 4:
-            raise ShapeError(f"conv kernel must be OIHW rank 4, got shape {self.kernel.shape}")
-        if self.stride < 1:
-            raise ValueError(f"stride must be positive, got {self.stride}")
-        if self.padding < 0:
-            raise ValueError(f"padding must be non-negative, got {self.padding}")
-
-    @property
-    def out_channels(self) -> int:
-        return self.kernel.shape[0]
-
-    @property
-    def in_channels(self) -> int:
-        return self.kernel.shape[1]
-
-    @property
-    def kernel_hw(self) -> tuple:
-        return self.kernel.shape[2:]
-
-    def out_spatial(self, h: int, w: int) -> tuple:
-        kh, kw = self.kernel_hw
-        oh = (h + 2 * self.padding - kh) // self.stride + 1
-        ow = (w + 2 * self.padding - kw) // self.stride + 1
-        if oh < 1 or ow < 1:
-            raise ShapeError(
-                f"conv output collapses: input {h}x{w}, kernel {kh}x{kw}, "
-                f"stride {self.stride}, padding {self.padding}"
-            )
-        return oh, ow

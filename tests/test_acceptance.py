@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from propmod import (ConvParams, DataError, NetworkConfig, Tensor, TrainConfig,
+from propmod import (DataError, NetworkConfig, TrainConfig,
                      audit, build_network, collapse_check, fit, gradcheck,
                      load_cifar, make_synthetic, nesterov_step)
 from propmod.autograd import seeded_rng
@@ -104,8 +104,8 @@ class TestAcceptance:
     def test_collapse_oracle(self):
         """Affine stacks match the composed conv to 1e-10; ReLU breaks it >= 1e-3."""
         rng = seeded_rng(0, "acc-collapse")
-        a = ConvParams(Tensor(rng.standard_normal((3, 2, 3, 3))), stride=1, padding=1)
-        b = ConvParams(Tensor(rng.standard_normal((4, 3, 3, 3))), stride=1, padding=1)
+        a = rng.standard_normal((3, 2, 3, 3))
+        b = rng.standard_normal((4, 3, 3, 3))
         plain = collapse_check(a, b, interior=None, probes=10)
         assert plain.max_deviation < 1e-10
         state = BatchNormState(gamma=rng.standard_normal(3) + 2.0,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from propmod import ConvParams, NetworkConfig, Tensor, audit, build_network, collapse_check
+from propmod import NetworkConfig, Tensor, audit, build_network, collapse_check
 from propmod.audit import compose_kernels
 from propmod.autograd import ParamStore, Tape, seeded_rng
 from propmod.blocks import (build_merge_run, build_plain_module,
@@ -79,9 +79,8 @@ class TestAudit:
         assert reports[1].flops_relu < reports[0].flops_relu
 
 
-def random_conv(shape, seed, padding):
-    return ConvParams(Tensor(seeded_rng(seed, "ck").standard_normal(shape)),
-                      stride=1, padding=padding)
+def random_kernel(shape, seed):
+    return seeded_rng(seed, "ck").standard_normal(shape)
 
 
 class TestCollapse:
@@ -100,7 +99,7 @@ class TestCollapse:
         np.testing.assert_allclose(edge, 0, atol=1e-15)
 
     def test_random_pair_collapses(self):
-        report = collapse_check(random_conv((3, 2, 3, 3), 1, 1), random_conv((4, 3, 3, 3), 2, 1),
+        report = collapse_check(random_kernel((3, 2, 3, 3), 1), random_kernel((4, 3, 3, 3), 2),
                                 probes=10)
         assert report.max_deviation < 1e-10
         assert report.collapsible
@@ -113,34 +112,30 @@ class TestCollapse:
                                beta=rng.standard_normal(3),
                                running_mean=rng.standard_normal(3),
                                running_var=np.abs(rng.standard_normal(3)) + 0.25)
-        report = collapse_check(random_conv((3, 2, 3, 3), 4, 1), random_conv((4, 3, 3, 3), 5, 1),
+        report = collapse_check(random_kernel((3, 2, 3, 3), 4), random_kernel((4, 3, 3, 3), 5),
                                 interior=state, probes=10)
         assert report.max_deviation < 1e-10
         assert report.collapsible
 
     def test_relu_interior_breaks_collapse(self):
-        report = collapse_check(random_conv((3, 2, 3, 3), 6, 1), random_conv((4, 3, 3, 3), 7, 1),
+        report = collapse_check(random_kernel((3, 2, 3, 3), 6), random_kernel((4, 3, 3, 3), 7),
                                 interior="relu", probes=10)
         assert report.max_deviation >= 1e-3
         assert not report.collapsible
 
-    def test_stride_rejected(self):
-        a = ConvParams(Tensor(seeded_rng(8, "ck").standard_normal((3, 2, 3, 3))),
-                       stride=2, padding=1)
-        with pytest.raises(ValueError) as err:
-            collapse_check(a, random_conv((4, 3, 3, 3), 9, 1))
-        assert "stride" in str(err.value)
-
-    def test_bad_padding_rejected(self):
-        with pytest.raises(ValueError):
-            collapse_check(random_conv((3, 2, 3, 3), 1, 0), random_conv((4, 3, 3, 3), 2, 1))
+    def test_kernel_not_rank_four_rejected(self):
+        for a, b in [(np.zeros((3, 2, 3)), random_kernel((4, 3, 3, 3), 9)),
+                     (random_kernel((3, 2, 3, 3), 8), np.zeros((4, 3, 3, 3, 1)))]:
+            with pytest.raises(ShapeError) as err:
+                collapse_check(a, b)
+            assert "rank 4" in str(err.value)
 
     def test_channel_chain_checked(self):
         with pytest.raises(ValueError):
-            collapse_check(random_conv((3, 2, 3, 3), 1, 1), random_conv((4, 5, 3, 3), 2, 1))
+            collapse_check(random_kernel((3, 2, 3, 3), 1), random_kernel((4, 5, 3, 3), 2))
 
     def test_one_by_one_second_conv(self):
-        report = collapse_check(random_conv((3, 2, 3, 3), 10, 1), random_conv((4, 3, 1, 1), 11, 0),
+        report = collapse_check(random_kernel((3, 2, 3, 3), 10), random_kernel((4, 3, 1, 1), 11),
                                 probes=5)
         assert report.max_deviation < 1e-10
         assert report.kernel.shape == (4, 2, 3, 3)

@@ -1,5 +1,7 @@
 """Block builders: mask placement, degenerate cases, serialization."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -86,21 +88,12 @@ class TestResidualBuilders:
 
 
 class TestSerialization:
-    def all_specs(self):
-        return [
-            build_plain_module("2:1", in_channels=16, out_channels=32, stride=2),
-            build_plain_module("1:1", pairing="pre"),
-            build_plain_module("3:1", drop_bn_with_relu=True),
-            build_plain_module("2:0", linear_ok=True),
-            build_preact_building("first", in_channels=8, out_channels=16, stride=2),
-            build_postact_building("second"),
-            build_preact_bottleneck(2, in_channels=16, mid_channels=8, out_channels=32),
-            build_merge_run("type1", in_channels=32, out_channels=64, stride=2),
-        ]
-
-    def test_round_trip_unchanged(self):
-        for spec in self.all_specs():
-            assert BlockSpec.from_line(spec.to_line()) == spec
+    def test_spec_stores_only_what_varies(self):
+        # conv_count and the BN and second-branch masks derive from relu_mask;
+        # tests/manifests.txt pins what they derive to for every variant
+        names = {f.name for f in fields(BlockSpec)}
+        assert len(names) <= 9
+        assert not names & {"conv_count", "bn_mask", "relu_mask_b", "bn_mask_b"}
 
     def test_masks_encoded_as_bits(self):
         line = build_preact_building("first").to_line()

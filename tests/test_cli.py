@@ -183,6 +183,18 @@ class TestAuditCommand:
         assert int(reports["type1"]["trunk_relus"]) < int(reports["paired"]["trunk_relus"])
 
 
+    @pytest.mark.parametrize("flags,first", [
+        ("--depth 8", "arch=plain depth=8 ratio=1:1 removal=none"),
+        ("--depth 38 --ratio 2:1", "arch=plain depth=38 ratio=2:1 removal=none"),
+        ("--stage-blocks 1,2,1", "arch=plain depth=custom blocks=1,2,1 ratio=1:1 removal=none"),
+        ("--arch resnet-preact --depth 8 --stage-blocks 2,1,1 --removal-type first",
+         "arch=resnet-preact depth=custom blocks=2,1,1 ratio=1:1 removal=first"),
+    ])
+    def test_first_line_names_resolved_network(self, flags, first, capsys):
+        assert main(["audit", *flags.split()]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == first
+
+
 class TestGradcheckCommand:
     def test_pass_exit_zero(self, capsys):
         code = main(["gradcheck", "--arch", "resnet-preact", "--removal-type", "first",
@@ -531,6 +543,31 @@ class TestCommandChecks:
                      "--ckpt", str(ckpt)])
         assert code == 0
         assert "(20 samples)" in capsys.readouterr().out
+
+
+    def test_eval_manifest_checked_by_regenerating_it(self, tmp_path, capsys):
+        assert main(["train", *PLAIN8, "--ratio", "2:1", *TINY, "--out", str(tmp_path)]) == 0
+        run = tmp_path / "plain-d8-proportional-2-1-s0"
+        ckpt = run / "ckpt-final.bin"
+        saved = ckpt.read_bytes()
+        argv = ["eval", "--dataset", "synthetic", "--synthetic-count", "8", "--ckpt", str(ckpt),
+                "--manifest"]
+        capsys.readouterr()
+        assert main([*argv, str(run / "manifest.txt")]) == 0
+        assert "test accuracy" in capsys.readouterr().out
+        # one block line now claims a paired module under a 2:1 header
+        text = (run / "manifest.txt").read_text()
+        edited = tmp_path / "edited-manifest.txt"
+        edited.write_text(text.replace("relu=01", "relu=11", 1))
+        assert edited.read_text() != text
+        assert main([*argv, str(edited)]) == 1
+        assert str(edited) in capsys.readouterr().err
+        assert ckpt.read_bytes() == saved
+        # refused before the checkpoint is read: reading this one exits 3
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"not a checkpoint")
+        argv[argv.index(str(ckpt))] = str(bad)
+        assert main([*argv, str(edited)]) == 1
 
 
 class TestDemos:

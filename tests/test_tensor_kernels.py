@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from propmod import ConvParams, PrecisionError, ShapeError, Tensor
+from propmod import PrecisionError, ShapeError, Tensor
 from propmod import kernels
 
 
@@ -89,21 +89,6 @@ class TestTensor:
             kernels.add(a, b)
 
 
-class TestConvParams:
-    def test_output_extent(self):
-        p = ConvParams(Tensor(np.zeros((4, 2, 3, 3))), stride=2, padding=1)
-        assert p.out_spatial(8, 8) == (4, 4)
-
-    def test_collapsing_output_rejected(self):
-        p = ConvParams(Tensor(np.zeros((4, 2, 5, 5))), stride=1, padding=0)
-        with pytest.raises(ShapeError):
-            p.out_spatial(3, 3)
-
-    def test_bad_kernel_rank(self):
-        with pytest.raises(ShapeError):
-            ConvParams(Tensor(np.zeros((4, 2, 3))))
-
-
 class TestConv2d:
     def test_scalar_product(self):
         x = np.full((1, 1, 1, 1), 2.0)
@@ -165,6 +150,11 @@ class TestConv2d:
         with pytest.raises(ShapeError) as err:
             kernels.conv2d(x, k)
         assert "(1, 2, 4, 4)" in str(err.value) and "(1, 3, 3, 3)" in str(err.value)
+
+    def test_collapsing_output_rejected(self):
+        with pytest.raises(ShapeError) as err:
+            kernels.conv2d(np.zeros((1, 2, 3, 3)), np.zeros((4, 2, 5, 5)))
+        assert "collapses" in str(err.value)
 
     def test_pure_bit_identical_reruns(self):
         rng = np.random.default_rng(3)
