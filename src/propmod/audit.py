@@ -59,13 +59,13 @@ def _walk_tape(tape: Tape):
         in_trunk = node.scope.startswith("stage") and ".skip" not in node.scope
         region = regions.setdefault(node.scope.split(".")[0], [0, 0, 0])
         if node.kind == "conv2d":
-            o, c, kh, kw = node.inputs[1].data.shape
-            _, _, oh, ow = node.data.shape
+            o, c, kh, kw = node.inputs[1].shape
+            _, _, oh, ow = node.shape
             region[0] += 1
             region[2] += 2 * kh * kw * c * o * oh * ow
             n_conv += in_trunk
         else:
-            _, ch, h, w = node.data.shape
+            _, ch, h, w = node.shape
             flops_relu += ch * h * w
             region[1] += 1
             n_relu += in_trunk

@@ -1,18 +1,21 @@
 """Reverse-mode differentiation over a per-forward tape.
 
-Each forward pass records a fresh tape: nodes are appended in creation
+Each forward pass records a fresh tape: entries are appended in creation
 order, which is already a topological order, so the backward sweep is a
-single reverse iteration. A node holds its output as a read-only ndarray,
-``node.data``: the tape freezes each array it records. Outside input enters
-through ``Tape.constant``, which checks it as a :class:`Tensor` (precision,
-rank, non-empty extents) and copies a view of the caller's memory.
-``node.value`` wraps the array in a ``Tensor`` for callers outside the
-library; the library itself reads ``node.data``. Parameters live outside
-the tape in a :class:`ParamStore`; ``backward`` accumulates into their
+single reverse iteration. An op returns a :class:`Node`, the forward's
+handle on its output, a read-only ndarray (``node.data``); the tape keeps
+an array-free :class:`Entry` per op, whose ``grad_fn`` captures only what
+its backward reads (a conv's or linear layer's input, a ReLU's output, BN's
+normalized input). So every other output is freed once the forward drops
+its last handle, and an eval tape (``training=False``), whose ops pass no
+``grad_fn``, keeps no activation: ``backward`` and ``relu_signature`` on
+it raise. Outside input enters through ``Tape.constant``, which checks it
+as a :class:`Tensor` (precision, rank, non-empty extents) and copies a
+view of the caller's memory. ``node.value`` wraps the array in a
+``Tensor`` for callers outside the library. Parameters live outside the
+tape in a :class:`ParamStore`; ``backward`` accumulates into their
 gradient buffers, so calling it twice without zeroing doubles every
-gradient. An eval tape (``training=False``) records no backward: every op
-passes no ``grad_fn``, so nothing is kept only for it (BN's normalized
-input, the softmax), and ``backward`` on such a tape raises.
+gradient.
 
 ``gradcheck`` is the finite-difference referee: central differences on a
 seeded sample of coordinates per parameter tensor, run in double precision.
@@ -20,8 +23,9 @@ Its perturbed evaluations run on tapes made with ``resume=(base_tape,
 param_name)``. A builder that reads it (``Model.forward_on``, so every
 ``Model.loss_builder``) re-runs only the blocks from the one that owns the
 perturbed parameter, starting from that block's input as the base forward
-recorded it; a hand-written builder ignores it and runs in full. Either way
-a resumed tape stages no batch-norm running statistics.
+recorded it in ``base_tape.block_inputs``, which only ``gradcheck``'s tapes
+fill; a hand-written builder ignores it and runs in full. Either way a
+resumed tape stages no batch-norm running statistics.
 """
 
 from __future__ import annotations
@@ -105,25 +109,50 @@ class ParamStore:
         return {name: p.value.data.copy() for name, p in self._entries.items()}
 
 
+@dataclass(slots=True, eq=False, repr=False)
+class Entry:
+    """One recorded operation as the tape keeps it, without its output array.
+
+    ``inputs`` are the inputs' entries and ``shape`` the output's. ``meta``
+    holds a conv's stride and padding, or a training ReLU's output, which its
+    ``grad_fn`` reads and ``relu_signature`` reports.
+    """
+
+    idx: int
+    kind: str
+    inputs: tuple
+    grad_fn: Optional[Callable]
+    scope: str
+    meta: object
+    param_name: Optional[str]
+    shape: tuple
+
+
 class Node:
-    """One recorded operation: read-only output array plus how to push gradients back."""
+    """The forward's handle on one operation: its read-only output and its tape entry."""
 
-    __slots__ = ("idx", "kind", "inputs", "data", "grad_fn", "scope", "meta", "param_name")
+    __slots__ = ("data", "entry")
 
-    def __init__(self, idx, kind, inputs, data, grad_fn, scope, meta=None, param_name=None):
-        self.idx = idx
-        self.kind = kind
-        self.inputs = inputs
+    def __init__(self, data, entry):
         self.data = data
-        self.grad_fn = grad_fn
-        self.scope = scope
-        self.meta = meta
-        self.param_name = param_name
+        self.entry = entry
 
     @property
     def value(self) -> Tensor:
         """The output as a :class:`Tensor`, for callers outside the library."""
         return Tensor(self.data)
+
+    @property
+    def scope(self) -> str:
+        return self.entry.scope
+
+    @property
+    def grad_fn(self):
+        return self.entry.grad_fn
+
+    @grad_fn.setter
+    def grad_fn(self, fn):
+        self.entry.grad_fn = fn
 
 
 class Tape:
@@ -135,9 +164,10 @@ class Tape:
         self.training = training
         # (base tape, perturbed parameter name): set only by gradcheck
         self.resume = resume
-        # one dict per Model.forward_on call: stem, block and head name -> its input
-        self.block_inputs: list[dict] = []
-        self.nodes: list[Node] = []
+        # gradcheck's tapes only: one dict per Model.forward_on call, stem,
+        # block and head name -> its input; None keeps nothing
+        self.block_inputs: Optional[list[dict]] = None
+        self.nodes: list[Entry] = []
         self.staged_updates: list[tuple[str, np.ndarray]] = []
         self._scope: list[str] = []
 
@@ -160,10 +190,10 @@ class Tape:
         if len(inputs) > 1:
             check_same_precision(*[n.data for n in inputs])
         value.setflags(write=False)
-        node = Node(len(self.nodes), kind, inputs, value, grad_fn, self.current_scope,
-                    meta=meta, param_name=param_name)
-        self.nodes.append(node)
-        return node
+        entry = Entry(len(self.nodes), kind, tuple([n.entry for n in inputs]), grad_fn,
+                      self.current_scope, meta, param_name, value.shape)
+        self.nodes.append(entry)
+        return Node(value, entry)
 
     def constant(self, data) -> Node:
         """Outside input, checked as a Tensor, which copies a view of the caller's memory."""
@@ -187,7 +217,7 @@ class Tape:
     def conv2d(self, x: Node, w: Node, stride: int = 1, padding: int = 0) -> Node:
         xd, wd = x.data, w.data
         out = kernels.conv2d(xd, wd, stride, padding)
-        needs_dx = x.kind != "constant"  # backward would discard it
+        needs_dx = x.entry.kind != "constant"  # backward would discard it
 
         def grad_fn(g):
             return kernels.conv2d_backward(g, xd, wd, stride, padding, needs_dx)
@@ -209,7 +239,7 @@ class Tape:
             np.negative(keep, out=keep)
             return (np.bitwise_and(g.view(uint), keep, out=keep).view(g.dtype),)
 
-        return self.record("relu", (x,), out, grad_fn)
+        return self.record("relu", (x,), out, grad_fn, meta=out)
 
     def add(self, a: Node, b: Node) -> Node:
         out = kernels.add(a.data, b.data)
@@ -230,20 +260,20 @@ class Tape:
         return self.record("scale", (x,), out, grad_fn if self.training else None)
 
     def global_avg_pool(self, x: Node) -> Node:
-        xd = x.data
-        out = kernels.global_avg_pool(xd)
+        shape = x.data.shape
+        out = kernels.global_avg_pool(x.data)
 
         def grad_fn(g):
-            return (kernels.global_avg_pool_grad(g, xd.shape),)
+            return (kernels.global_avg_pool_grad(g, shape),)
 
         return self.record("global_avg_pool", (x,), out, grad_fn if self.training else None)
 
     def flatten(self, x: Node) -> Node:
-        xd = x.data
-        out = xd.reshape(xd.shape[0], -1)
+        shape = x.data.shape
+        out = x.data.reshape(shape[0], -1)
 
         def grad_fn(g):
-            return (g.reshape(xd.shape),)
+            return (g.reshape(shape),)
 
         return self.record("flatten", (x,), out, grad_fn if self.training else None)
 
@@ -257,11 +287,11 @@ class Tape:
         return self.record("linear", (x, w, b), out, grad_fn if self.training else None)
 
     def sum(self, x: Node) -> Node:
-        xd = x.data
-        out = np.asarray(xd.sum())  # sum() returns a numpy scalar, which cannot be frozen
+        shape, dtype = x.data.shape, x.data.dtype
+        out = np.asarray(x.data.sum())  # sum() returns a numpy scalar, which cannot be frozen
 
         def grad_fn(g):
-            return (np.full(xd.shape, g, dtype=xd.dtype),)
+            return (np.full(shape, g, dtype=dtype),)
 
         return self.record("sum", (x,), out, grad_fn if self.training else None)
 
@@ -273,11 +303,12 @@ class Tape:
             raise ValueError("backward on an eval tape (training=False): it records no backward")
         if loss.data.shape != ():
             raise ShapeError(f"backward requires a scalar loss, got shape {loss.data.shape}")
-        grads: dict[int, np.ndarray] = {loss.idx: np.asarray(loss.data.dtype.type(1.0))}
+        start = loss.entry.idx
+        grads: dict[int, np.ndarray] = {start: np.asarray(loss.data.dtype.type(1.0))}
         # grad_fn outputs may alias each other (add hands the same array to
         # both inputs), so accumulate copy-on-write: only arrays this sweep
         # allocated itself are ever mutated in place.
-        owned: set[int] = {loss.idx}
+        owned: set[int] = {start}
         for node in reversed(self.nodes):
             g = grads.pop(node.idx, None)
             owned.discard(node.idx)
@@ -303,10 +334,15 @@ class Tape:
     def relu_signature(self) -> list:
         """Sign masks (input > 0) of every ReLU on the tape, in creation order.
 
-        Read from each output: ReLU passes exactly the positive inputs, and
-        maps NaN to 0, so ``out > 0`` equals ``x > 0`` bit for bit.
+        Read from each output, which a training ReLU's entry keeps for its
+        backward: ReLU passes exactly the positive inputs, and maps NaN to 0,
+        so ``out > 0`` equals ``x > 0`` bit for bit. An eval tape keeps no
+        ReLU output, so this raises on one, as ``backward`` does.
         """
-        return [n.data > 0 for n in self.nodes if n.kind == "relu"]
+        if not self.training:
+            raise ValueError("relu_signature on an eval tape (training=False): "
+                             "it keeps no ReLU output")
+        return [n.meta > 0 for n in self.nodes if n.kind == "relu"]
 
 
 # -- finite-difference checker ----------------------------------------------
@@ -361,8 +397,15 @@ def gradcheck(loss_builder: Callable[[Tape], Node], params: ParamStore,
     if sample < 1:
         raise ValueError(f"gradcheck sample of {sample} coordinates per tensor: it must be at least 1")
 
+    def make_tape(resume=None):
+        tape = Tape(params, training=True, resume=resume)
+        # Model.forward_on keeps each block's input here: perturbed tapes resume
+        # from the base tape's, and find their call's twin by counting their own
+        tape.block_inputs = []
+        return tape
+
     params.zero_grads()
-    base_tape = Tape(params, training=True)
+    base_tape = make_tape()
     loss = loss_builder(base_tape)
     base_tape.backward(loss)
     analytic = {name: p.grad.copy() for name, p in params.trainable_items()}
@@ -373,7 +416,7 @@ def gradcheck(loss_builder: Callable[[Tape], Node], params: ParamStore,
         perturbed[idx] += delta
         params.set_value(name, perturbed)
         try:
-            tape = Tape(params, training=True, resume=(base_tape, name))
+            tape = make_tape(resume=(base_tape, name))
             value = float(loss_builder(tape).data)
             return value, tape.relu_signature()
         finally:

@@ -225,15 +225,29 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _manifest_network(path: str):
+    """The network a manifest's header describes; a ValueError naming the file
+    if it cannot be read, lacks a header field or differs from that network's."""
+    try:
+        text = Path(path).read_text()
+        model = build_network(config_from_manifest_header(parse_manifest(text)))
+    except OSError as err:
+        raise ValueError(f"cannot read manifest {path}: {err.strerror}") from None
+    except KeyError as err:
+        raise ValueError(f"manifest {path} has no {err.args[0]}= field in its header "
+                         "line") from None
+    except ValueError as err:
+        raise ValueError(f"manifest {path}: {err}") from None
+    # the header names the network; its block lines must be the ones it builds
+    if format_manifest(model) != text:
+        raise ValueError(f"manifest {path} does not match the network its header describes")
+    return model
+
+
 def cmd_eval(args) -> int:
     test_data = _load(args, "test")
     if args.manifest:
-        text = Path(args.manifest).read_text()
-        model = build_network(config_from_manifest_header(parse_manifest(text)))
-        # the header names the network; its block lines must be the ones it builds
-        if format_manifest(model) != text:
-            raise ValueError(f"manifest {args.manifest} does not match the network "
-                             "its header describes")
+        model = _manifest_network(args.manifest)
     else:
         model = build_network(_network_config(args, test_data.num_classes))
     load_training_state(args.ckpt, model)

@@ -214,12 +214,13 @@ def softmax_cross_entropy(tape: Tape, logits: Node, labels: np.ndarray) -> Node:
     log_probs = shifted - np.log(total)
     loss = -log_probs[np.arange(n), labels].mean()
     probs = exp / total
+    dtype = z.dtype
 
     def grad_fn(g):
         dz = probs.copy()
         dz[np.arange(n), labels] -= 1
         dz *= g / n
-        return (dz.astype(z.dtype),)
+        return (dz.astype(dtype),)
 
     return tape.record("softmax_cross_entropy", (logits,), np.asarray(loss, dtype=z.dtype),
                        grad_fn if tape.training else None)

@@ -121,9 +121,11 @@ class Model:
     def forward_on(self, tape: Tape, x) -> "Node":
         """Logits of ``x``, recorded on ``tape``.
 
-        Each call appends to ``tape.block_inputs`` a dict from ``"stem"``,
-        every block's name (``stageS.blockB``) and ``"head"`` to the node
-        that entered it, a pair for dfn-mr1. On a tape made with
+        On a tape whose ``block_inputs`` is a list (``gradcheck``'s), each
+        call appends to it a dict from ``"stem"``, every block's name
+        (``stageS.blockB``) and ``"head"`` to the node that entered it, a
+        pair for dfn-mr1; any other tape keeps no block input alive beyond
+        its last reader. On a tape made with
         ``resume=(base_tape, param_name)`` (``gradcheck``'s perturbed
         evaluations) the walk starts at the block that owns ``param_name``
         (``head.*`` at the head), from that block's input as the same call
@@ -147,10 +149,12 @@ class Model:
             cached = base.block_inputs[len(tape.block_inputs)][steps[start][0]]
             carry = (tuple(tape.constant(n.data) for n in cached) if isinstance(cached, tuple)
                      else tape.constant(cached.data))
-        inputs = {}
-        tape.block_inputs.append(inputs)
+        kept = tape.block_inputs
+        if kept is not None:
+            kept.append({})
         for name, step in steps[start:]:
-            inputs[name] = carry
+            if kept is not None:
+                kept[-1][name] = carry
             carry = step(tape, carry)
         return carry
 
@@ -291,9 +295,10 @@ def format_manifest(model: Model) -> str:
 
 
 def parse_manifest(text: str) -> dict:
-    """The header of a manifest, its first line, as a dict. The block lines
-    follow from it: ``format_manifest`` of the network it builds rewrites them."""
-    return dict(item.split("=", 1) for item in text.partition("\n")[0].split())
+    """The header of a manifest, its first line, as a dict; an item with no
+    ``=`` maps to "". The block lines follow from it: ``format_manifest`` of
+    the network it builds rewrites them."""
+    return dict(item.partition("=")[::2] for item in text.partition("\n")[0].split())
 
 
 def config_from_manifest_header(header: dict) -> NetworkConfig:

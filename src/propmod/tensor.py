@@ -7,11 +7,11 @@ mixes the two; attempting to raises :class:`PrecisionError`.
 
 Tensors are immutable once constructed. A ``Tensor`` stands where that
 has to be enforced on an array from elsewhere: input entering a tape
-(``Tape.constant``) and the values in a ``ParamStore``. Tape nodes hold
-plain read-only arrays, since kernels always allocate fresh outputs, which
-is what makes every op pure and bit-reproducible. Convolution kernels pass
-between functions as bare OIHW arrays; stride and padding are arguments of
-the call that runs them.
+(``Tape.constant``) and the values in a ``ParamStore``. Op outputs
+(``Node.data``) are plain read-only arrays, since kernels always allocate
+fresh outputs, which is what makes every op pure and bit-reproducible.
+Convolution kernels pass between functions as bare OIHW arrays; stride and
+padding are arguments of the call that runs them.
 """
 
 from __future__ import annotations

@@ -1,12 +1,15 @@
 """Reverse-mode engine and the finite-difference checker."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
 from propmod import (NetworkConfig, ParamStore, ShapeError, Tensor, TrainConfig, build_network,
                      fit, gradcheck, kernels, layers, make_synthetic, summarize)
 from propmod.autograd import Node, Tape, seeded_rng
-from propmod.blocks import build_preact_building, make_block
+from propmod.blocks import Block, build_preact_building, make_block
 from propmod.layers import softmax_cross_entropy
 
 
@@ -106,16 +109,24 @@ class TestEvalTape:
                 "softmax_cross_entropy"} <= {n.kind for n in tape.nodes}
         assert [n.kind for n in tape.nodes if n.grad_fn is not None] == []
 
-    def test_relu_signature_is_input_sign(self):
+    def test_relu_signature_is_input_sign(self, monkeypatch):
+        handles = recorded_handles(monkeypatch)
         model = tiny_resnet()
         x = seeded_rng(2, "eval-tape").standard_normal((2, 3, 8, 8)).astype(np.float32)
         _, tape = model.forward(x, training=True)
         relus = [n for n in tape.nodes if n.kind == "relu"]
         signature = tape.relu_signature()
         assert len(signature) == len(relus) > 0
-        for node, mask in zip(relus, signature):
+        for entry, mask in zip(relus, signature):
             assert mask.dtype == bool
-            np.testing.assert_array_equal(mask, node.inputs[0].value.data > 0)
+            np.testing.assert_array_equal(mask, handles[entry.inputs[0].idx].value.data > 0)
+
+    def test_relu_signature_on_eval_tape_raises(self):
+        model = tiny_resnet()
+        x = seeded_rng(2, "eval-tape").standard_normal((2, 3, 8, 8)).astype(np.float32)
+        _, tape = model.forward(x, training=False)
+        with pytest.raises(ValueError, match="eval tape"):
+            tape.relu_signature()
 
     def test_relu_signature_at_special_values(self):
         x = np.array([np.nan, 0.0, -0.0, -1.0, 1e-300, np.inf, -np.inf])
@@ -432,29 +443,86 @@ NODE_FAMILIES = [("plain", 8), ("resnet-preact", 8), ("resnet-preact-bottleneck"
 NODE_FAMILY_IDS = ["plain-8", "resnet-preact-8", "bottleneck-11", "dfn-mr1-8"]
 
 
+def recorded_handles(monkeypatch):
+    """Every handle ``Tape.record`` returns from here on, in recording order."""
+    handles = []
+    record = Tape.record
+
+    def keeping(self, *args, **kwargs):
+        node = record(self, *args, **kwargs)
+        handles.append(node)
+        return node
+
+    monkeypatch.setattr(Tape, "record", keeping)
+    return handles
+
+
+def captured_arrays(entry):
+    """The arrays an entry's ``grad_fn`` closure holds, through tuples (a BN cache) and handles."""
+    cells = [c.cell_contents for c in (entry.grad_fn.__closure__ or ())] if entry.grad_fn else []
+    cells += [v for c in cells if isinstance(c, tuple) for v in c]
+    cells += [c.data for c in cells if isinstance(c, Node)]
+    return [c for c in cells if isinstance(c, np.ndarray)]
+
+
 class TestNodeContract:
-    """A node holds its output as a read-only array; ``node.value`` wraps it for outside callers."""
+    """Forward handles hold read-only outputs; tape entries hold no array of their own."""
 
     @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
     @pytest.mark.parametrize("family,depth", NODE_FAMILIES, ids=NODE_FAMILY_IDS)
-    def test_every_node_holds_a_frozen_array(self, family, depth, training):
+    def test_handles_frozen_and_entries_array_free(self, family, depth, training, monkeypatch):
+        handles = recorded_handles(monkeypatch)
         model = build_network(NetworkConfig(family=family, depth=depth, seed=1))
         _, _, tape = model.loss(*training_batch(family), training=training)
-        for node in tape.nodes:
-            assert type(node.data) is np.ndarray and not node.data.flags.writeable, node.kind
+        assert [h.entry for h in handles] == tape.nodes
+        for i, (node, entry) in enumerate(zip(handles, tape.nodes)):
+            assert entry.idx == i
+            assert type(node.data) is np.ndarray and not node.data.flags.writeable, entry.kind
             value = node.value
             assert isinstance(value, Tensor) and value.dtype == node.data.dtype
-            assert value.shape == node.data.shape
-            assert value.data.tobytes() == node.data.tobytes(), node.kind
-            # only a conv keeps what its arrays cannot show: its stride and padding
-            assert (node.meta is not None) == (node.kind == "conv2d"), node.kind
-            assert not hasattr(node, "shape")
+            assert value.data.tobytes() == node.data.tobytes(), entry.kind
+            assert entry.shape == node.data.shape
+            assert not hasattr(entry, "data") and not hasattr(entry, "value")
+            assert all(inp is tape.nodes[inp.idx] for inp in entry.inputs)
+            # no field holds an array, save a training ReLU's output, which its backward reads
+            fields = [getattr(entry, name) for name in type(entry).__slots__]
+            arrays = [f for f in fields if isinstance(f, np.ndarray)]
+            if training and entry.kind == "relu":
+                assert len(arrays) == 1 and arrays[0] is node.data
+                assert any(a is node.data for a in captured_arrays(entry))
+            else:
+                assert arrays == [], entry.kind
+            # a conv keeps its stride and padding, which its arrays cannot show
+            assert isinstance(entry.meta, dict) == (entry.kind == "conv2d"), entry.kind
 
-    def test_flatten_shares_its_input_array(self):
+    @pytest.mark.parametrize("family,depth", NODE_FAMILIES, ids=NODE_FAMILY_IDS)
+    def test_grad_fns_capture_only_what_backward_reads(self, family, depth, monkeypatch):
+        handles = recorded_handles(monkeypatch)
+        model = build_network(NetworkConfig(family=family, depth=depth, seed=1))
+        _, _, tape = model.loss(*training_batch(family))
+        for entry in tape.nodes:
+            captured = captured_arrays(entry)
+            outputs = [h.data for h in handles if any(c is h.data for c in captured)]
+            own = handles[entry.idx].data
+            inputs = [handles[inp.idx].data for inp in entry.inputs]
+            if entry.kind in ("conv2d", "linear"):
+                assert any(o is inputs[0] for o in outputs), entry.kind
+                assert all(o is inputs[0] or o is inputs[1] for o in outputs), entry.kind
+            elif entry.kind == "relu":
+                assert len(outputs) == 1 and outputs[0] is own
+            elif entry.kind == "batchnorm":
+                # its normalized input and gamma, never its input or output
+                assert all(o is inputs[1] for o in outputs)
+                assert not any(c is inputs[0] or c is own for c in captured)
+            else:
+                assert outputs == [], entry.kind
+
+    def test_flatten_shares_its_input_array(self, monkeypatch):
+        handles = recorded_handles(monkeypatch)
         model = build_network(NetworkConfig(family="plain", depth=8, seed=1))
         _, tape = model.forward(training_batch("plain")[0], training=True)
-        (flat,) = [n for n in tape.nodes if n.kind == "flatten"]
-        assert np.shares_memory(flat.data, flat.inputs[0].data)
+        (flat,) = [h for h in handles if h.entry.kind == "flatten"]
+        assert np.shares_memory(flat.data, handles[flat.entry.inputs[0].idx].data)
 
     def test_constant_checks_and_copies_outside_input(self):
         tape = Tape(make_store({}))
@@ -481,3 +549,78 @@ class TestNodeContract:
         summarize(model)
         oracle, x, labels = oracle_case(family, depth, {})
         gradcheck(oracle.loss_builder(x, labels), oracle.store, sample=2)
+
+
+class TestTapeMemory:
+    """Reference counting frees every output no ``grad_fn`` captured once the forward drops it."""
+
+    def test_training_forward_frees_what_no_backward_reads(self, monkeypatch):
+        outputs = {}
+        record = Tape.record
+
+        def watching(self, *args, **kwargs):
+            node = record(self, *args, **kwargs)
+            outputs[node.entry.idx] = weakref.ref(node.data)
+            return node
+
+        identity_inputs = []
+        call = Block.__call__
+
+        def watching_block(self, tape, x):
+            if self.proj is None:
+                identity_inputs.append(weakref.ref(x.data))
+            return call(self, tape, x)
+
+        monkeypatch.setattr(Tape, "record", watching)
+        monkeypatch.setattr(Block, "__call__", watching_block)
+        # depth 20, not 11: bottleneck-11's one block per stage always projects
+        model = build_network(NetworkConfig(family="resnet-preact-bottleneck", depth=20,
+                                            stage_widths=(4, 4, 8), seed=1))
+        loss, _, tape = model.loss(*training_batch("resnet-preact-bottleneck"))
+        bn_into_relu = [e.inputs[0].idx for e in tape.nodes
+                        if e.kind == "relu" and e.inputs[0].kind == "batchnorm"]
+        conv_inputs = [e.inputs[0].idx for e in tape.nodes if e.kind == "conv2d"]
+        assert bn_into_relu and identity_inputs and conv_inputs
+        assert all(outputs[i]() is None for i in bn_into_relu)
+        assert all(ref() is None for ref in identity_inputs)
+        assert all(outputs[i]() is not None for i in conv_inputs)
+        tape.backward(loss)  # and backward still has all it reads
+
+    def test_eval_forward_streams(self):
+        model = build_network(NetworkConfig(family="plain", depth=8, seed=1))
+        x = seeded_rng(0, "eval-stream").standard_normal((4, 3, 32, 32)).astype(np.float32)
+        model.forward(x)  # first-call allocations stay out of the measurement
+        activation = x.shape[0] * 16 * 32 * 32 * x.itemsize  # one stage-1 output
+        tracemalloc.start()
+        try:
+            logits, tape = model.forward(x)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tape.nodes) > 20
+        assert kept < activation, "the eval tape keeps an activation alive"
+        # a stage-1 3x3 conv's patch matrix is 9 activations; the rest is its operands
+        assert peak < 9 * activation + 4 * activation, peak / activation
+
+    def test_only_gradcheck_tapes_keep_block_inputs(self, monkeypatch):
+        tapes = []
+        init = Tape.__init__
+
+        def tracking(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            tapes.append(self)
+
+        monkeypatch.setattr(Tape, "__init__", tracking)
+        model = build_network(NetworkConfig(family="resnet-preact", depth=8,
+                                            stage_widths=(4, 4, 8), seed=1))
+        data = make_synthetic(10, 8, seed=0)
+        fit(model, data, data, TrainConfig(epochs=1, batch_size=4, augment=False))
+        assert {t.training for t in tapes} == {True, False}
+        assert all(t.block_inputs is None for t in tapes)
+        tapes.clear()
+        oracle, x, labels = oracle_case("resnet-preact", 8, {})
+        gradcheck(oracle.loss_builder(x, labels), oracle.store, sample=2)
+        base = tapes[0]
+        assert base.resume is None
+        (inputs,) = base.block_inputs
+        assert list(inputs) == ["stem", "stage1.block0", "stage2.block0", "stage3.block0", "head"]

@@ -473,6 +473,22 @@ class TestResolution:
         assert code == 1
         assert "pairing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content,named", [
+        (None, "cannot read manifest"),
+        ("", "no depth= field"),
+        ("block name=stage1.block0 relu=11 bn=11\n", "no depth= field"),
+        ("family=plain depth=eight blocks=1,1,1\n", "'eight'"),
+    ], ids=["missing", "empty", "header-less", "bad-value"])
+    def test_unusable_manifest_exits_one_naming_it(self, content, named, tmp_path, capsys):
+        manifest = tmp_path / "manifest.txt"
+        if content is not None:
+            manifest.write_text(content)
+        code = main(["eval", "--dataset", "synthetic", "--ckpt", str(tmp_path / "ckpt.bin"),
+                     "--manifest", str(manifest)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(manifest) in err and named in err
+
     @staticmethod
     def sweep_with_bad_cell(tmp_path, cell):
         spec = tmp_path / "spec.json"
