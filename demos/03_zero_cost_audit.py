@@ -7,7 +7,7 @@ the recorded forward tape, so the numbers describe what actually executes.
 Run:  python demos/03_zero_cost_audit.py
 """
 
-from propmod import NetworkConfig, audit, build_network, summarize
+from propmod import NetworkConfig, audit, build_network
 
 CASES = {
     ("plain", 38): [("paired", dict(ratio="1:1")), ("2:1", dict(ratio="2:1"))],
@@ -30,4 +30,4 @@ for (family, depth), variants in CASES.items():
 
 print("per-region breakdown of plain-38 with the 2:1 module:")
 model = build_network(NetworkConfig(family="plain", depth=38, ratio="2:1", seed=0))
-print(summarize(model))
+print(audit(model))

@@ -20,7 +20,7 @@ from .data import (DataError, DatasetHandle, augment_image, hflip, iter_batches,
 from .layers import (BatchNorm2d, BatchNormState, Conv2d, Linear,
                      softmax_cross_entropy)
 from .networks import (DepthError, Model, NetworkConfig, build_network,
-                       format_manifest, parse_manifest, summarize)
+                       format_manifest, parse_manifest)
 from .tensor import PrecisionError, ShapeError, Tensor
 from .train import (NumericalFailure, RunRecord, SGD, TrainConfig, aggregate_runs,
                     evaluate, fit, nesterov_step)

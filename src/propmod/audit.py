@@ -6,8 +6,10 @@ cost is 2 * k^2 * Cin * Cout * H' * W' per layer (one multiply plus one
 add per kernel tap, per output position, batch excluded); a ReLU costs one
 operation per element. The conv:ReLU ratio is taken over the trunk (the
 staged blocks), which is where the placement policy acts; stem and head are
-identical across variants. The counts and conv FLOPs are also grouped by
-top-level scope (stem, stageN, head), the rows of a network summary.
+identical across variants. One :class:`RatioReport` holds it all: the
+trunk counts, and per top-level scope (stem, stageN, head) the conv and
+ReLU counts, trainable parameters and conv FLOPs, which ``str(report)``
+prints as the region table. Every whole-graph total is a sum of those rows.
 
 ``collapse_check`` is the receptive-field composition oracle: two stacked
 convolutions, given as bare OIHW kernels and run as the trunk runs them
@@ -34,43 +36,36 @@ from .tensor import ShapeError, check_same_precision
 class RatioReport:
     n_conv: int                 # trunk conv nodes
     n_relu: int                 # trunk ReLU nodes
-    ratio: tuple                # reduced N:M over the trunk
-    flops_conv: int             # whole graph, per sample
-    flops_relu: int
-    param_count: int            # trainable parameters
-    total_conv: int             # whole graph node counts
-    total_relu: int
-    # top-level scope (stem, stageN, head) -> [convs, ReLUs, conv FLOPs]
+    flops_relu: int             # whole graph, per sample
+    # top-level scope (stem, stageN, head) -> [convs, ReLUs, trainable params,
+    # conv FLOPs], in the order the store registers the scopes
     regions: dict
+
+    @property
+    def ratio(self) -> tuple:
+        """Reduced N:M over the trunk."""
+        return reduce_ratio(self.n_conv, self.n_relu)
 
     @property
     def ratio_text(self) -> str:
         return f"{self.ratio[0]}:{self.ratio[1]}"
 
+    def _total(self, column: int) -> int:
+        return sum(row[column] for row in self.regions.values())
 
-def _walk_tape(tape: Tape):
-    n_conv = n_relu = flops_relu = 0
-    regions = {}
-    for node in tape.nodes:
-        if node.kind not in ("conv2d", "relu"):
-            continue
-        # trunk = module convs/ReLUs inside the staged blocks; projection
-        # shortcuts are cost (FLOPs/params) but not part of the N:M policy
-        in_trunk = node.scope.startswith("stage") and ".skip" not in node.scope
-        region = regions.setdefault(node.scope.split(".")[0], [0, 0, 0])
-        if node.kind == "conv2d":
-            o, c, kh, kw = node.inputs[1].shape
-            _, _, oh, ow = node.shape
-            region[0] += 1
-            region[2] += 2 * kh * kw * c * o * oh * ow
-            n_conv += in_trunk
-        else:
-            _, ch, h, w = node.shape
-            flops_relu += ch * h * w
-            region[1] += 1
-            n_relu += in_trunk
-    total_conv, total_relu, flops_conv = (sum(r[i] for r in regions.values()) for i in range(3))
-    return n_conv, n_relu, total_conv, total_relu, flops_conv, flops_relu, regions
+    total_conv = property(lambda self: self._total(0))      # whole graph node counts
+    total_relu = property(lambda self: self._total(1))
+    param_count = property(lambda self: self._total(2))
+    flops_conv = property(lambda self: self._total(3))      # whole graph, per sample
+
+    def __str__(self):
+        lines = [f"{'region':<10} {'convs':>6} {'relus':>6} {'params':>10} {'conv FLOPs':>14}"]
+        for name, (convs, relus, params, flops) in self.regions.items():
+            lines.append(f"{name:<10} {convs:>6} {relus:>6} {params:>10} {flops:>14}")
+        lines.append(f"trunk conv:ReLU ratio {self.ratio_text} "
+                     f"({self.n_conv} convs, {self.n_relu} ReLUs); "
+                     f"params {self.param_count}; ReLU FLOPs {self.flops_relu}")
+        return "\n".join(lines)
 
 
 def audit(target, input_shape=(1, 3, 32, 32), seed: int = 0) -> RatioReport:
@@ -79,36 +74,41 @@ def audit(target, input_shape=(1, 3, 32, 32), seed: int = 0) -> RatioReport:
     Accepts a :class:`BlockSpec` (audited standalone on a probe input) or
     any object exposing ``forward(x, training=...)`` and a ``store``.
     """
+    rng = seeded_rng(seed, "audit-probe")
     if isinstance(target, BlockSpec):
         store = ParamStore("double")
         block = make_block(store, "stage0.block0", target, seed=seed)
         tape = Tape(store, training=False)
-        rng = seeded_rng(seed, "audit-probe")
         probe = rng.standard_normal((input_shape[0], target.in_channels) + tuple(input_shape[2:]))
         x = tape.constant(probe)
-        if target.family == "dfn-merge-run":
-            block(tape, (x, x))
-        else:
-            block(tape, x)
-        param_count = store.param_count()
+        block(tape, (x, x) if target.family == "dfn-merge-run" else x)
     else:
         store = target.store
-        rng = seeded_rng(seed, "audit-probe")
-        probe = rng.standard_normal(input_shape).astype(store.dtype)
-        _, tape = target.forward(probe, training=False)
-        param_count = store.param_count()
-    n_conv, n_relu, total_conv, total_relu, flops_conv, flops_relu, regions = _walk_tape(tape)
-    return RatioReport(
-        n_conv=n_conv,
-        n_relu=n_relu,
-        ratio=reduce_ratio(n_conv, n_relu),
-        flops_conv=flops_conv,
-        flops_relu=flops_relu,
-        param_count=param_count,
-        total_conv=total_conv,
-        total_relu=total_relu,
-        regions=regions,
-    )
+        _, tape = target.forward(rng.standard_normal(input_shape).astype(store.dtype),
+                                 training=False)
+    regions = {}
+    for name, p in store.trainable_items():
+        regions.setdefault(name.split(".")[0], [0, 0, 0, 0])[2] += p.value.size
+    n_conv = n_relu = flops_relu = 0
+    for node in tape.nodes:
+        if node.kind not in ("conv2d", "relu"):
+            continue
+        # trunk = module convs/ReLUs inside the staged blocks; projection
+        # shortcuts are cost (FLOPs/params) but not part of the N:M policy
+        in_trunk = node.scope.startswith("stage") and ".skip" not in node.scope
+        region = regions.setdefault(node.scope.split(".")[0], [0, 0, 0, 0])
+        if node.kind == "conv2d":
+            o, c, kh, kw = node.inputs[1].shape
+            _, _, oh, ow = node.shape
+            region[0] += 1
+            region[3] += 2 * kh * kw * c * o * oh * ow
+            n_conv += in_trunk
+        else:
+            _, ch, h, w = node.shape
+            flops_relu += ch * h * w
+            region[1] += 1
+            n_relu += in_trunk
+    return RatioReport(n_conv=n_conv, n_relu=n_relu, flops_relu=flops_relu, regions=regions)
 
 
 # -- linear collapse -----------------------------------------------------------

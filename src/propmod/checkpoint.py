@@ -108,13 +108,15 @@ def save_training_state(path, model, velocities: dict, epoch: int, seed: int,
 def load_training_state(path, model) -> dict:
     """Restore a snapshot into a model; returns velocities and metadata.
 
-    Every model tensor must be present with the exact shape; mismatches
-    raise naming the offending tensor.
+    Every model tensor must be present with the exact shape, and so must
+    ``meta.epoch`` and ``meta.seed``; mismatches raise naming the offending
+    tensor.
     """
     tensors = load_tensors(path)
-    for name, entry in model.store.items():
+    for name in (*model.store.names(), "meta.epoch", "meta.seed"):
         if name not in tensors:
             raise CheckpointError(f"{path}: tensor {name!r} missing from checkpoint")
+    for name, entry in model.store.items():
         arr = tensors[name]
         if tuple(arr.shape) != entry.value.shape:
             raise CheckpointError(

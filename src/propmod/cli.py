@@ -26,7 +26,7 @@ from .checkpoint import CheckpointError, load_training_state
 from .data import DataError, load_cifar, make_synthetic
 from .layers import BatchNormState
 from .networks import (FAMILIES, NetworkConfig, build_network, config_from_manifest_header,
-                       format_manifest, parse_manifest, summarize)
+                       format_manifest, parse_manifest)
 from .train import NumericalFailure, TrainConfig, aggregate_runs, evaluate, fit
 
 EXIT_OK = 0
@@ -257,18 +257,19 @@ def cmd_eval(args) -> int:
 
 def cmd_audit(args) -> int:
     net_cfg = _network_config(args, args.classes)
-    summary = summarize(build_network(net_cfg))
-    r = summary.report
+    model = build_network(net_cfg)
+    r = audit(model)
     shape = (f"depth={net_cfg.depth}" if net_cfg.depth is not None
              else f"depth=custom blocks={','.join(map(str, net_cfg.stage_blocks))}")
     print(f"arch={net_cfg.family} {shape} ratio={net_cfg.ratio} removal={net_cfg.removal}")
     print(f"param_count={r.param_count} flops_conv={r.flops_conv} flops_relu={r.flops_relu}")
     print(f"trunk_convs={r.n_conv} trunk_relus={r.n_relu} trunk_ratio={r.ratio_text}")
-    print(str(summary))
+    print(r)
+    if model.depth_note:
+        print(f"note: {model.depth_note}")
     if args.out:
         lines = ["region,convs,relus,params,flops_conv"]
-        lines += [f"{row.name},{row.convs},{row.relus},{row.params},{row.flops_conv}"
-                  for row in summary.rows]
+        lines += [",".join(map(str, (name, *row))) for name, row in r.regions.items()]
         lines.append(f"total,{r.total_conv},{r.total_relu},{r.param_count},{r.flops_conv}")
         Path(args.out).write_text("\n".join(lines) + "\n")
         print(f"wrote {args.out}")

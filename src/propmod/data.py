@@ -5,7 +5,10 @@ plus 3x1024 channel-planar pixels), CIFAR-100 records are 3074 bytes
 (coarse label, fine label, pixels); the fine label is what training uses.
 Pixels scale to [0, 1] and are then channel-normalized with constants
 computed once from the training split and cached beside the archives,
-since no canonical values ship with the data.
+since no canonical values ship with the data. The cache is renamed into
+place whole, so concurrent runs never read a partial one, and a cache that
+cannot be read as three means and three stds raises :class:`DataError`
+naming it.
 
 Everything downstream is a pure function of (seed, epoch, index): batch
 composition and augmentation never depend on timing.
@@ -13,6 +16,7 @@ composition and augmentation never depend on timing.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import dataclass
@@ -46,7 +50,6 @@ class DatasetHandle:
     num_classes: int
     mean: np.ndarray             # per-channel constants used
     std: np.ndarray
-    subset: tuple | None = None  # (count, seed) if subsampled
 
     def __len__(self):
         return len(self.labels)
@@ -136,16 +139,25 @@ def load_or_compute_norm_stats(root: Path, which: str, train_images=None) -> tup
     ``train_images``, the split's images if the caller has read them, spare a reread."""
     stats_path = _base_dir(root, which) / f"normalization-{which}.json"
     if stats_path.is_file():
-        stats = json.loads(stats_path.read_text())
-        return (np.asarray(stats["mean"], dtype=np.float32),
-                np.asarray(stats["std"], dtype=np.float32))
+        try:
+            stats = json.loads(stats_path.read_text())
+            mean, std = (np.asarray(stats[k], dtype=np.float32) for k in ("mean", "std"))
+        except (OSError, ValueError, KeyError, TypeError) as err:
+            raise DataError(f"{stats_path}: unreadable normalization cache ({err})") from None
+        if mean.shape != (3,) or std.shape != (3,):
+            raise DataError(f"{stats_path}: normalization cache holds mean of shape "
+                            f"{mean.shape} and std of shape {std.shape}, expected (3,)")
+        return mean, std
     if train_images is None:
         train_images, _ = _read_split(root, which, "train")
     mean, std = compute_norm_stats(train_images)
+    tmp = stats_path.with_name(f"{stats_path.name}.{os.getpid()}.tmp")
     try:
-        stats_path.write_text(json.dumps({"mean": mean.tolist(), "std": std.tolist()}))
-    except OSError:
-        pass  # read-only data dir: recompute next time
+        tmp.write_text(json.dumps({"mean": mean.tolist(), "std": std.tolist()}))
+        os.replace(tmp, stats_path)  # a concurrent reader sees no cache or a whole one
+    except OSError:  # read-only data dir: recompute next time
+        with contextlib.suppress(OSError):
+            tmp.unlink()
     return mean, std
 
 
@@ -176,8 +188,7 @@ def load_cifar(path=None, which: str = "cifar10", split: str = "train",
     images = (images - mean[None, :, None, None]) / std[None, :, None, None]
     return DatasetHandle(
         source=which, split=split, images=images, labels=labels,
-        num_classes=10 if which == "cifar10" else 100,
-        mean=mean, std=std, subset=subset,
+        num_classes=10 if which == "cifar10" else 100, mean=mean, std=std,
     )
 
 

@@ -14,7 +14,7 @@ manifest records that note.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,16 +102,15 @@ def resolve_stage_blocks(cfg: NetworkConfig, template: BlockSpec):
 
 
 class Model:
-    """Built network: layer tree plus its parameter store and block specs."""
+    """Built network: layer tree plus its parameter store."""
 
     def __init__(self, cfg: NetworkConfig, store: ParamStore, stem, stages, head,
-                 block_specs, depth_note=None):
+                 depth_note=None):
         self.cfg = cfg
         self.store = store
         self.stem = stem            # (conv, bn-or-None)
         self.stages = stages        # list of lists of block objects
         self.head = head            # (bn-or-None, linear)
-        self.block_specs = block_specs
         self.depth_note = depth_note
 
     @property
@@ -208,7 +207,7 @@ def build_network(cfg: NetworkConfig) -> Model:
     stem_bn = None if is_pre else BatchNorm2d(store, "stem.bn", stem_width)
 
     bottleneck = cfg.family == "resnet-preact-bottleneck"
-    stages, block_specs = [], []
+    stages = []
     in_ch = stem_width
     for s, (width, count) in enumerate(zip(cfg.stage_widths, stage_blocks)):
         out_ch = width * 4 if bottleneck else width
@@ -217,61 +216,16 @@ def build_network(cfg: NetworkConfig) -> Model:
             stride = 2 if (s > 0 and b == 0) else 1
             spec = template.with_shape(in_ch, out_ch, stride,
                                        mid_channels=width if bottleneck else None)
-            block = make_block(store, f"stage{s + 1}.block{b}", spec, seed=seed)
-            blocks.append(block)
-            block_specs.append(spec)
+            blocks.append(make_block(store, f"stage{s + 1}.block{b}", spec, seed=seed))
             in_ch = out_ch
         stages.append(blocks)
 
     head_bn = BatchNorm2d(store, "head.bn", in_ch) if is_pre else None
     fc = Linear(store, "head.fc", in_ch, cfg.num_classes, seed=seed)
-    return Model(cfg, store, (stem_conv, stem_bn), stages, (head_bn, fc), block_specs, note)
+    return Model(cfg, store, (stem_conv, stem_bn), stages, (head_bn, fc), note)
 
 
-# -- summaries and manifests ---------------------------------------------------
-
-
-@dataclass
-class StageRow:
-    name: str
-    convs: int
-    relus: int
-    params: int
-    flops_conv: int
-
-
-@dataclass
-class NetworkSummary:
-    report: "RatioReport"
-    rows: list = field(default_factory=list)
-    depth_note: str | None = None
-
-    def __str__(self):
-        lines = [f"{'region':<10} {'convs':>6} {'relus':>6} {'params':>10} {'conv FLOPs':>14}"]
-        for row in self.rows:
-            lines.append(f"{row.name:<10} {row.convs:>6} {row.relus:>6} "
-                         f"{row.params:>10} {row.flops_conv:>14}")
-        r = self.report
-        lines.append(f"trunk conv:ReLU ratio {r.ratio_text} "
-                     f"({r.n_conv} convs, {r.n_relu} ReLUs); "
-                     f"params {r.param_count}; ReLU FLOPs {r.flops_relu}")
-        if self.depth_note:
-            lines.append(f"note: {self.depth_note}")
-        return "\n".join(lines)
-
-
-def summarize(model: Model, input_shape=(1, 3, 32, 32)) -> NetworkSummary:
-    from .audit import audit  # local import: audit also imports blocks
-
-    report = audit(model, input_shape)
-    regions = ["stem"] + [f"stage{i + 1}" for i in range(len(model.stages))] + ["head"]
-    rows = []
-    for region in regions:
-        convs, relus, flops = report.regions.get(region, (0, 0, 0))
-        params = sum(p.value.size for name, p in model.store.trainable_items()
-                     if name.startswith(region + "."))
-        rows.append(StageRow(region, convs, relus, params, flops))
-    return NetworkSummary(report, rows, model.depth_note)
+# -- manifests -----------------------------------------------------------------
 
 
 def format_manifest(model: Model) -> str:
@@ -287,10 +241,8 @@ def format_manifest(model: Model) -> str:
     lines = [header]
     if model.depth_note:
         lines.append(f"# {model.depth_note}")
-    specs = iter(model.block_specs)
-    for s, stage in enumerate(model.stages):
-        for b, _ in enumerate(stage):
-            lines.append(f"block name=stage{s + 1}.block{b} " + next(specs).to_line())
+    for stage in model.stages:
+        lines += [f"block name={block.name} {block.spec.to_line()}" for block in stage]
     return "\n".join(lines) + "\n"
 
 

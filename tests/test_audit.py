@@ -1,9 +1,11 @@
 """Ratio/FLOPs/parameter accounting and the collapse oracle."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from propmod import NetworkConfig, Tensor, audit, build_network, collapse_check
+from propmod import NetworkConfig, audit, build_network, collapse_check
 from propmod.audit import compose_kernels
 from propmod.autograd import ParamStore, Tape, seeded_rng
 from propmod.blocks import (build_merge_run, build_plain_module,
@@ -18,13 +20,18 @@ class TestAudit:
         store = ParamStore("double")
         blocks = [make_block(store, f"stage1.block{i}", build_plain_module("2:1"), seed=i)
                   for i in range(3)]
-        tape = Tape(store, training=False)
-        x = tape.constant(Tensor(seeded_rng(0, "a").standard_normal((1, 16, 8, 8))))
-        for b in blocks:
-            x = b(tape, x)
-        from propmod.audit import _walk_tape
-        n_conv, n_relu, *_ = _walk_tape(tape)
-        assert (n_conv, n_relu) == (6, 3)
+
+        def forward(x, training=False):
+            tape = Tape(store, training=training)
+            node = tape.constant(x)
+            for b in blocks:
+                node = b(tape, node)
+            return node, tape
+
+        report = audit(SimpleNamespace(store=store, forward=forward), input_shape=(1, 16, 8, 8))
+        assert (report.n_conv, report.n_relu) == (6, 3)
+        assert list(report.regions) == ["stage1"]
+        assert report.regions["stage1"][:2] == [6, 3]
 
     def test_block_audit_ratio(self):
         report = audit(build_plain_module("2:1"), input_shape=(1, 16, 8, 8))

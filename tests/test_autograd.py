@@ -6,8 +6,8 @@ import weakref
 import numpy as np
 import pytest
 
-from propmod import (NetworkConfig, ParamStore, ShapeError, Tensor, TrainConfig, build_network,
-                     fit, gradcheck, kernels, layers, make_synthetic, summarize)
+from propmod import (NetworkConfig, ParamStore, ShapeError, Tensor, TrainConfig, audit,
+                     build_network, fit, gradcheck, kernels, layers, make_synthetic)
 from propmod.autograd import Node, Tape, seeded_rng
 from propmod.blocks import Block, build_preact_building, make_block
 from propmod.layers import softmax_cross_entropy
@@ -546,7 +546,7 @@ class TestNodeContract:
         data = make_synthetic(10, 4, seed=0)
         record = fit(model, data, data, TrainConfig(epochs=1, batch_size=4, augment=False))
         assert len(record.epochs) == 1  # the epoch ran, and evaluate with it
-        summarize(model)
+        audit(model)
         oracle, x, labels = oracle_case(family, depth, {})
         gradcheck(oracle.loss_builder(x, labels), oracle.store, sample=2)
 

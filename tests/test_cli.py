@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import propmod
+from propmod.checkpoint import save_tensors
 from propmod.cli import _cell_args, _run_id, _train_configs, build_parser, main
 from propmod.data import load_or_compute_norm_stats
-from propmod.networks import build_network, format_manifest
+from propmod.networks import NetworkConfig, build_network, format_manifest
 
 GOLDEN = Path(__file__).parent / "golden"
 DEMOS = Path(__file__).parent.parent / "demos"
@@ -584,6 +585,38 @@ class TestCommandChecks:
         bad.write_bytes(b"not a checkpoint")
         argv[argv.index(str(ckpt))] = str(bad)
         assert main([*argv, str(edited)]) == 1
+
+
+    @pytest.mark.parametrize("command", [
+        ["eval", *PLAIN8, "--dataset", "synthetic", "--synthetic-count", "8", "--ckpt"],
+        ["train", *PLAIN8, *TINY, "--resume"],
+    ], ids=["eval", "train-resume"])
+    def test_checkpoint_without_meta_exits_three_naming_it(self, command, tmp_path, capsys,
+                                                           monkeypatch):
+        monkeypatch.chdir(tmp_path)  # train writes its run directory under ./out
+        # the public writer, given only the model's tensors, records no epoch or seed
+        ckpt = tmp_path / "params.bin"
+        save_tensors(ckpt, build_network(NetworkConfig(family="plain", depth=8))
+                     .store.state_arrays())
+        assert main([*command, str(ckpt)]) == 3
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "'meta.epoch'" in err
+
+    @pytest.mark.parametrize("cache", [
+        "",
+        '{"mean": [0.5, 0.5], "std": [0.25, 0.25]}',
+        '{"mean": [0.5, 0.5, 0.5]}',
+        "[0.5, 0.5, 0.5]",
+    ], ids=["empty", "two-channel", "no-std", "not-a-dict"])
+    def test_bad_normalization_cache_exits_three_naming_it(self, cache, cifar10_dir, tmp_path,
+                                                           capsys):
+        stats = cifar10_dir / "normalization-cifar10.json"
+        stats.write_text(cache)
+        code = main(["train", *PLAIN8, "--dataset", "cifar10", "--data-dir", str(cifar10_dir),
+                     "--subset", "8", "--epochs", "1", "--batch-size", "8",
+                     "--out", str(tmp_path / "runs")])
+        assert code == 3
+        assert str(stats) in capsys.readouterr().err
 
 
 class TestDemos:

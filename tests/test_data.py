@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +74,31 @@ class TestCifarLoader:
         assert stats_file.is_file()
         mean, std = load_or_compute_norm_stats(cifar10_dir, "cifar10")
         assert mean.shape == (3,) and std.shape == (3,)
+
+    def test_norm_cache_is_moved_into_place_whole(self, cifar10_dir, monkeypatch):
+        # written beside the cache and renamed over it, so a concurrent reader
+        # sees either no cache or the whole one
+        stats_file = cifar10_dir / "normalization-cifar10.json"
+        moves = []
+        replace = data_module.os.replace
+
+        def watching(src, dst):
+            moves.append((Path(dst), stats_file.exists(), json.loads(Path(src).read_text())))
+            replace(src, dst)
+
+        monkeypatch.setattr(data_module.os, "replace", watching)
+        mean, std = load_or_compute_norm_stats(cifar10_dir, "cifar10")
+        assert moves == [(stats_file, False, {"mean": mean.tolist(), "std": std.tolist()})]
+        assert [p.name for p in cifar10_dir.iterdir() if p.suffix != ".bin"] == [stats_file.name]
+
+    def test_norm_cache_skipped_when_data_dir_is_read_only(self, cifar10_dir, monkeypatch):
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(Path, "write_text", refuse)
+        mean, std = load_or_compute_norm_stats(cifar10_dir, "cifar10")
+        assert mean.shape == (3,) and std.shape == (3,)
+        assert all(p.suffix == ".bin" for p in cifar10_dir.iterdir())
 
     def test_norm_stats_make_no_split_sized_float64_copy(self):
         images = np.random.default_rng(0).random((2000, 3, 32, 32), dtype=np.float32)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from propmod import DepthError, NetworkConfig, audit, build_network, summarize
+from propmod import DepthError, NetworkConfig, audit, build_network
 from propmod.networks import (config_from_manifest_header, format_manifest,
                               parse_manifest, resolve_stage_blocks, _template_block)
 
@@ -141,13 +141,13 @@ class TestForward:
 
 class TestSummaries:
     def test_plain_trunk_ratio(self):
-        paired = summarize(build_network(NetworkConfig(family="plain", depth=38, seed=0)),
-                           input_shape=(1, 3, 32, 32))
-        assert paired.report.ratio == (1, 1)
-        prop = summarize(build_network(NetworkConfig(family="plain", depth=38, ratio="2:1",
-                                                     seed=0)), input_shape=(1, 3, 32, 32))
-        assert prop.report.ratio == (2, 1)
-        assert prop.report.n_conv == 36
+        paired = audit(build_network(NetworkConfig(family="plain", depth=38, seed=0)),
+                       input_shape=(1, 3, 32, 32))
+        assert paired.ratio == (1, 1)
+        prop = audit(build_network(NetworkConfig(family="plain", depth=38, ratio="2:1",
+                                                 seed=0)), input_shape=(1, 3, 32, 32))
+        assert prop.ratio == (2, 1)
+        assert prop.n_conv == 36
 
     def test_dfn_param_parity_across_removals(self):
         counts = []
@@ -167,17 +167,20 @@ class TestSummaries:
     @pytest.mark.parametrize("family,depth", [
         ("plain", 8), ("resnet-preact", 8), ("resnet-preact-bottleneck", 11), ("dfn-mr1", 8),
     ])
-    def test_stage_rows_cover_everything(self, family, depth):
-        summary = summarize(build_network(small(family, depth=depth)),
-                            input_shape=(1, 3, 16, 16))
-        rows, report = summary.rows, summary.report
-        assert [row.name for row in rows] == ["stem", "stage1", "stage2", "stage3", "head"]
-        assert sum(row.convs for row in rows) == report.total_conv
-        assert sum(row.relus for row in rows) == report.total_relu
-        assert sum(row.params for row in rows) == report.param_count
-        assert sum(row.flops_conv for row in rows) == report.flops_conv
+    def test_regions_cover_everything(self, family, depth):
+        model = build_network(small(family, depth=depth))
+        report = audit(model, input_shape=(1, 3, 16, 16))
+        assert list(report.regions) == ["stem", "stage1", "stage2", "stage3", "head"]
+        kinds = [entry.kind for entry in model.forward(np.zeros((1, 3, 16, 16)))[1].nodes]
+        assert report.total_conv == kinds.count("conv2d")
+        assert report.total_relu == kinds.count("relu")
+        assert report.param_count == model.store.param_count()
+        for region, (_, _, params, _) in report.regions.items():
+            assert params == sum(p.value.size for name, p in model.store.trainable_items()
+                                 if name.startswith(region + "."))
+        assert report.flops_conv == sum(row[3] for row in report.regions.values()) > 0
 
-    def test_summarize_runs_one_forward(self, monkeypatch):
+    def test_audit_runs_one_forward(self, monkeypatch):
         model = build_network(small("resnet-preact"))
         calls = []
         forward_on = type(model).forward_on
@@ -187,7 +190,7 @@ class TestSummaries:
             return forward_on(self, tape, x)
 
         monkeypatch.setattr(type(model), "forward_on", counting)
-        summarize(model, input_shape=(1, 3, 16, 16))
+        audit(model, input_shape=(1, 3, 16, 16))
         assert calls == [(1, 3, 16, 16)]
 
 
