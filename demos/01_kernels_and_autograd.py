@@ -39,8 +39,8 @@ def loss_builder(tape: Tape):
 
 
 tape = Tape(store, training=True)
-tape.backward(loss_builder(tape))
-print("gradient shape for w:", store["w"].grad.shape)
+grads = tape.backward(loss_builder(tape))
+print("gradient shape for w:", grads["w"].shape)
 
 result = gradcheck(loss_builder, store, eps=1e-5)
 print(f"gradcheck: max rel err {result.max_rel_err:.3e} "

@@ -1,9 +1,9 @@
 """Paired vs proportional, run as a seeded sweep with mean +/- std aggregation.
 
-By default this runs a fast synthetic-data configuration. Point
-PRPT_DATA_DIR at a directory holding the CIFAR-10 binary archives to run
-the desk-scale probe from the acceptance suite instead (plain-38, a
-5000-sample subset, 30 epochs, 3 seeds; hours on one CPU).
+By default this runs a fast synthetic-data configuration. With --cifar it
+runs the desk-scale probe from the acceptance suite instead (plain-38, a
+5000-sample subset, 30 epochs, 3 seeds; hours on one CPU) on the CIFAR-10
+binary archives in PRPT_DATA_DIR (./data if unset).
 
 Run:  python demos/06_desk_sweep.py [--cifar]
 """

@@ -68,16 +68,16 @@ class RatioReport:
         return "\n".join(lines)
 
 
-def audit(target, input_shape=(1, 3, 32, 32), seed: int = 0) -> RatioReport:
+def audit(target, input_shape=(1, 3, 32, 32)) -> RatioReport:
     """Count conv/ReLU nodes, their FLOPs, and parameters for a block or model.
 
     Accepts a :class:`BlockSpec` (audited standalone on a probe input) or
     any object exposing ``forward(x, training=...)`` and a ``store``.
     """
-    rng = seeded_rng(seed, "audit-probe")
+    rng = seeded_rng(0, "audit-probe")
     if isinstance(target, BlockSpec):
         store = ParamStore("double")
-        block = make_block(store, "stage0.block0", target, seed=seed)
+        block = make_block(store, "stage0.block0", target, seed=0)
         tape = Tape(store, training=False)
         probe = rng.standard_normal((input_shape[0], target.in_channels) + tuple(input_shape[2:]))
         x = tape.constant(probe)
@@ -161,8 +161,11 @@ def compose_kernels(a: np.ndarray, b: np.ndarray, mid_scale=None) -> np.ndarray:
     return composed
 
 
-def collapse_check(a: np.ndarray, b: np.ndarray, interior=None,
-                   probes: int = 10, input_hw=(8, 8), batch: int = 2,
+# each probe is a batch of this many random images of this extent
+PROBE_BATCH, PROBE_HW = 2, (8, 8)
+
+
+def collapse_check(a: np.ndarray, b: np.ndarray, interior=None, probes: int = 10,
                    seed: int = 0, threshold: float = 1e-8) -> CollapseReport:
     """Compare a two-conv stack, OIHW kernels ``a`` then ``b``, against its
     composed single convolution. Each conv runs at stride 1 with padding k//2.
@@ -180,7 +183,7 @@ def collapse_check(a: np.ndarray, b: np.ndarray, interior=None,
     if isinstance(interior, BatchNormState):
         scale, shift = (v.astype(a.dtype) for v in interior.eval_affine())
         interior_kind = "eval-bn"
-    elif interior in (None, "none", "relu"):
+    elif interior in (None, "relu"):
         interior_kind = interior or "none"
     else:
         raise ValueError(f"unsupported interior {interior!r}")
@@ -197,15 +200,15 @@ def collapse_check(a: np.ndarray, b: np.ndarray, interior=None,
     # where the second kernel window stays inside the intermediate map. The
     # probe therefore compares the centered region, cropping kb//2 pixels.
     crop = pad_b
-    h, w = input_hw
+    h, w = PROBE_HW
     if h - 2 * crop < 1 or w - 2 * crop < 1:
-        raise ValueError(f"probe extent {input_hw} too small for border crop {crop}")
+        raise ValueError(f"probe extent {PROBE_HW} too small for border crop {crop}")
     sl = np.s_[:, :, crop:h - crop, crop:w - crop]
 
     rng = seeded_rng(seed, "collapse-probe")
     worst = 0.0
     for _ in range(probes):
-        x = rng.standard_normal((batch, a.shape[1], *input_hw)).astype(a.dtype)
+        x = rng.standard_normal((PROBE_BATCH, a.shape[1], *PROBE_HW)).astype(a.dtype)
         mid = kernels.conv2d(x, a, stride=1, padding=pad_a)
         if interior_kind == "eval-bn":
             mid = mid * scale[None, :, None, None] + shift[None, :, None, None]

@@ -167,6 +167,9 @@ def _network_config(args, num_classes: int) -> NetworkConfig:
 
 def _train_configs(args) -> tuple:
     """The resolved (NetworkConfig, TrainConfig) of a train command line."""
+    if args.dataset == "synthetic" and args.subset is not None:
+        raise ValueError("--subset does not apply to --dataset synthetic; "
+                         "set its size with --synthetic-count")
     net_cfg = _network_config(args, 100 if args.dataset == "cifar100" else 10)
     return net_cfg, TrainConfig(
         epochs=args.epochs, batch_size=args.batch_size, base_lr=args.lr,
@@ -248,6 +251,10 @@ def cmd_eval(args) -> int:
     test_data = _load(args, "test")
     if args.manifest:
         model = _manifest_network(args.manifest)
+        if model.cfg.num_classes != test_data.num_classes:
+            raise ValueError(f"manifest {args.manifest} describes a {model.cfg.num_classes}-class "
+                             f"network, but --dataset {args.dataset} has "
+                             f"{test_data.num_classes} classes")
     else:
         model = build_network(_network_config(args, test_data.num_classes))
     load_training_state(args.ckpt, model)

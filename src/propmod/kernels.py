@@ -199,16 +199,16 @@ def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:
-    """Mean over H and W; output is N x C x 1 x 1."""
+    """Mean over H and W; output is (N, C)."""
     if x.ndim != 4:
         raise ShapeError(f"global_avg_pool expects NCHW rank 4, got shape {x.shape}")
-    return x.mean(axis=(2, 3), keepdims=True)
+    return x.mean(axis=(2, 3))
 
 
 def global_avg_pool_grad(grad_out: np.ndarray, x_shape: tuple) -> np.ndarray:
     _, _, h, w = x_shape
     scale = grad_out.dtype.type(1.0 / (h * w))
-    return np.broadcast_to(grad_out * scale, x_shape).copy()
+    return np.broadcast_to((grad_out * scale)[:, :, None, None], x_shape).copy()
 
 
 def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:

@@ -35,7 +35,6 @@ class Conv2d:
         self.name = name
         self.stride = stride
         self.padding = kernel_size // 2
-        self.kernel_size = kernel_size
         shape = (out_channels, in_channels, kernel_size, kernel_size)
         fan_in = in_channels * kernel_size * kernel_size
         store.register(name + ".weight", he_normal(shape, fan_in, seeded_rng(seed, name + ".weight"), store.dtype))
@@ -66,14 +65,14 @@ class BatchNormState:
         return bn_affine(self.gamma, self.beta, self.running_mean, self.running_var)
 
 
-def bn_affine(gamma, beta, mean, var, eps: float = BN_EPSILON) -> tuple:
+def bn_affine(gamma, beta, mean, var) -> tuple:
     """Eval-mode batch norm as (scale, shift): scale = gamma / sqrt(var + eps),
-    shift = beta - mean * scale."""
-    scale = gamma / np.sqrt(var + eps)
+    shift = beta - mean * scale, with eps ``BN_EPSILON``."""
+    scale = gamma / np.sqrt(var + BN_EPSILON)
     return scale, beta - mean * scale
 
 
-def batchnorm_train(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float):
+def batchnorm_train(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
     """Normalize by batch statistics per channel, then scale-shift.
 
     Returns (y, cache, batch_mean, batch_var); variance is the biased
@@ -90,7 +89,7 @@ def batchnorm_train(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: flo
     mean = x.mean(axis=(0, 2, 3))
     xhat = x - mean[None, :, None, None]
     var = np.einsum("nchw,nchw->c", xhat, xhat) / m
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
     xhat *= inv_std[None, :, None, None]
     y = xhat * gamma[None, :, None, None]
     y += beta[None, :, None, None]
@@ -115,8 +114,8 @@ def batchnorm_train_backward(grad: np.ndarray, cache, gamma: np.ndarray):
 
 
 def batchnorm_eval(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                   mean: np.ndarray, var: np.ndarray, eps: float) -> np.ndarray:
-    scale, shift = bn_affine(gamma, beta, mean, var, eps)
+                   mean: np.ndarray, var: np.ndarray) -> np.ndarray:
+    scale, shift = bn_affine(gamma, beta, mean, var)
     return x * scale[None, :, None, None] + shift[None, :, None, None]
 
 
@@ -159,7 +158,7 @@ class BatchNorm2d:
                 f"{self.name}: expected NCHW input with {self.channels} channels, got shape {xd.shape}"
             )
         if tape.training:
-            y, cache, mean, var = batchnorm_train(xd, gd, bd, BN_EPSILON)
+            y, cache, mean, var = batchnorm_train(xd, gd, bd)
             if tape.resume is None:
                 mom = xd.dtype.type(BN_MOMENTUM)
                 m = xd.shape[0] * xd.shape[2] * xd.shape[3]
@@ -176,7 +175,7 @@ class BatchNorm2d:
 
         rm = self.store[self.name + ".running_mean"].value.data
         rv = self.store[self.name + ".running_var"].value.data
-        y = batchnorm_eval(xd, gd, bd, rm, rv, BN_EPSILON)
+        y = batchnorm_eval(xd, gd, bd, rm, rv)
         return tape.record("batchnorm", (x, g, b), y, None)
 
 

@@ -175,9 +175,7 @@ class Model:
             if head_bn is not None:
                 node = head_bn(tape, node)
                 node = tape.relu(node)
-            node = tape.global_avg_pool(node)
-            node = tape.flatten(node)
-            return fc(tape, node)
+            return fc(tape, tape.global_avg_pool(node))
 
     def forward(self, x, training: bool = False):
         tape = Tape(self.store, training=training)

@@ -133,11 +133,11 @@ class SGD:
         self.velocities = {name: np.zeros(p.value.shape, dtype=store.dtype)
                            for name, p in store.trainable_items()}
 
-    def step(self, lr: float) -> None:
+    def step(self, lr: float, grads: dict) -> None:
         for name, p in self.store.trainable_items():
             try:
                 new_value, self.velocities[name] = nesterov_step(
-                    p.value.data, p.grad, self.velocities[name],
+                    p.value.data, grads[name], self.velocities[name],
                     lr, self.cfg.momentum, self.cfg.weight_decay, self.cfg.nesterov)
             except NumericalFailure as err:
                 raise NumericalFailure(f"parameter {name!r}: {err}") from None
@@ -204,15 +204,14 @@ def fit(model, train_data: DatasetHandle, test_data: DatasetHandle | None,
                     f"loss became non-finite at epoch {epoch}; last good checkpoint "
                     f"{'retained in ' + str(out_dir) if out_dir else 'unavailable (no out_dir)'}"
                 )
-            model.store.zero_grads()
-            tape.backward(loss)
+            grads = tape.backward(loss)
             tape.commit_updates()
-            optimizer.step(lr)
+            optimizer.step(lr, grads)
             losses.append(loss_value)
             pred = np.argmax(logits.data, axis=1)
             correct += int((pred == labels).sum())
             total += len(labels)
-            del loss, logits, tape  # free this step's graph before the next forward
+            del loss, logits, tape, grads  # free this step's graph before the next forward
         test_acc = evaluate(model, test_data) if test_data is not None else float("nan")
         record.epochs.append(EpochStats(epoch, float(np.mean(losses)), correct / total, test_acc))
         improved = test_data is not None and test_acc > best_acc

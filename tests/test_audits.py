@@ -17,6 +17,7 @@ import io
 import tempfile
 from pathlib import Path
 
+from golden_lines import assert_matches, print_lines
 from propmod.cli import main
 
 GOLDEN = Path(__file__).parent / "audits.txt"
@@ -58,12 +59,8 @@ def audit_lines():
 
 
 def test_audits_match_golden():
-    expected = GOLDEN.read_text().splitlines()
-    actual = audit_lines()
-    assert len(actual) == len(expected)
-    for got, want in zip(actual, expected):
-        assert got == want
+    assert_matches(GOLDEN, audit_lines())
 
 
 if __name__ == "__main__":
-    print("\n".join(audit_lines()))
+    print_lines(audit_lines())

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from golden_lines import assert_matches, print_lines
 from propmod.autograd import ParamStore, Tape
 from propmod.blocks import (build_merge_run, build_plain_module, build_postact_building,
                             build_preact_bottleneck, build_preact_building, make_block)
@@ -68,12 +69,8 @@ def structure_lines():
 
 
 def test_block_structure_matches_golden():
-    expected = GOLDEN.read_text().splitlines()
-    actual = structure_lines()
-    assert len(actual) == len(expected)
-    for got, want in zip(actual, expected):
-        assert got == want
+    assert_matches(GOLDEN, structure_lines())
 
 
 if __name__ == "__main__":
-    print("\n".join(structure_lines()))
+    print_lines(structure_lines())

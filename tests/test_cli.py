@@ -70,6 +70,15 @@ class TestExitCodes:
         assert f"subset of {count} samples" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()  # rejected before any run directory is made
 
+    @pytest.mark.parametrize("count", ["5", "0"])
+    def test_subset_with_synthetic_dataset_is_usage_error(self, tmp_path, count, capsys):
+        code = main(["train", *PLAIN8, "--dataset", "synthetic", "--synthetic-count", "20",
+                     "--subset", count, "--epochs", "1", "--out", str(tmp_path / "runs")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--subset" in err and "--synthetic-count" in err
+        assert not (tmp_path / "runs").exists()
+
     def test_zero_synthetic_count_is_usage_error(self, tmp_path, capsys):
         code = main(["train", *PLAIN8, "--dataset", "synthetic", "--synthetic-count", "0",
                      "--epochs", "1", "--out", str(tmp_path)])
@@ -153,12 +162,13 @@ class TestRunId:
         (PLAIN8, PLAIN8 + ["--pairing", "pre"], ["plain-d8-paired-pre-s0", "plain-d8-paired-s0"]),
         (PLAIN8 + ["--ratio", "2:1"], PLAIN8 + ["--ratio", "2:1", "--drop-bn-with-relu"],
          ["plain-d8-proportional-2-1-dropbn-s0", "plain-d8-proportional-2-1-s0"]),
-        (PLAIN8, PLAIN8 + ["--dataset", "cifar100"], ["plain-d8-paired-c100-s0", "plain-d8-paired-s0"]),
+        (PLAIN8, PLAIN8 + ["--dataset", "cifar100", "--subset", "8"],
+         ["plain-d8-paired-c100-s0", "plain-d8-paired-s0"]),
     ])
     def test_each_resolved_config_gets_its_own_run(self, first, second, ids, cifar100_dir,
                                                    tmp_path):
         common = ["--dataset", "synthetic", "--synthetic-count", "8",
-                  "--data-dir", str(cifar100_dir), "--subset", "8",
+                  "--data-dir", str(cifar100_dir),
                   "--epochs", "1", "--batch-size", "8", "--no-augment",
                   "--out", str(tmp_path / "out")]
         for variant in (first, second):
@@ -503,6 +513,7 @@ class TestResolution:
         ({"arch": "resnet-preact", "depth": 8, "ratio": "3:2"}, "ratio"),
         ({"arch": "plain", "depth": 8, "epochs": 0}, "epochs"),
         ({"arch": "plain", "depth": 8, "seed": 3}, "'seed'"),
+        ({"arch": "plain", "depth": 8, "subset": 4}, "--synthetic-count"),
     ])
     def test_bad_sweep_cell_exits_one_before_any_run(self, cell, named, tmp_path, capsys):
         assert main(self.sweep_with_bad_cell(tmp_path, cell)) == 1
@@ -585,6 +596,21 @@ class TestCommandChecks:
         bad.write_bytes(b"not a checkpoint")
         argv[argv.index(str(ckpt))] = str(bad)
         assert main([*argv, str(edited)]) == 1
+
+    def test_eval_manifest_with_other_class_count_exits_one(self, cifar100_dir, tmp_path,
+                                                            capsys):
+        assert main(["train", *PLAIN8, *TINY, "--out", str(tmp_path)]) == 0
+        run = tmp_path / "plain-d8-paired-s0"
+        argv = ["eval", "--dataset", "cifar100", "--data-dir", str(cifar100_dir),
+                "--manifest", str(run / "manifest.txt"), "--ckpt"]
+        capsys.readouterr()
+        assert main([*argv, str(run / "ckpt-final.bin")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "10-class" in err and "100 classes" in err
+        # refused before the checkpoint is read: reading this one exits 3
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"not a checkpoint")
+        assert main([*argv, str(bad)]) == 1
 
 
     @pytest.mark.parametrize("command", [

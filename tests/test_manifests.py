@@ -13,6 +13,7 @@ Regenerate (only for an intended change to the manifest format):
 
 from pathlib import Path
 
+from golden_lines import assert_matches, print_lines
 from propmod.networks import NetworkConfig, build_network, format_manifest
 
 GOLDEN = Path(__file__).parent / "manifests.txt"
@@ -42,12 +43,8 @@ def manifest_lines():
 
 
 def test_manifests_match_golden():
-    expected = GOLDEN.read_text().splitlines()
-    actual = manifest_lines()
-    assert len(actual) == len(expected)
-    for got, want in zip(actual, expected):
-        assert got == want
+    assert_matches(GOLDEN, manifest_lines())
 
 
 if __name__ == "__main__":
-    print("\n".join(manifest_lines()))
+    print_lines(manifest_lines())

@@ -120,9 +120,9 @@ class TestFit:
         calls = []
         original = SGD.step
 
-        def counting_step(self, lr):
+        def counting_step(self, lr, grads):
             calls.append(lr)
-            return original(self, lr)
+            return original(self, lr, grads)
 
         monkeypatch.setattr(SGD, "step", counting_step)
         model = tiny_model()
@@ -143,13 +143,12 @@ class TestFit:
         images = data.images[order].astype(np.float64)
         labels = data.labels[order]
         loss, _, tape = manual.loss(images, labels, training=True)
-        manual.store.zero_grads()
-        tape.backward(loss)
+        grads = tape.backward(loss)
         tape.commit_updates()
         expected = {}
         for name, p in manual.store.trainable_items():
-            expected[name], _ = nesterov_step(p.value.data, p.grad,
-                                              np.zeros_like(p.grad), cfg.base_lr,
+            expected[name], _ = nesterov_step(p.value.data, grads[name],
+                                              np.zeros_like(grads[name]), cfg.base_lr,
                                               cfg.momentum, cfg.weight_decay)
 
         trained = tiny_model(seed=7, precision="double")
