@@ -14,7 +14,9 @@ as a :class:`Tensor` (precision, rank, non-empty extents) and copies a
 view of the caller's memory. ``node.value`` wraps the array in a
 ``Tensor`` for callers outside the library. Parameters live outside the
 tape in a :class:`ParamStore`; ``backward`` returns each read parameter's
-gradient and changes no state.
+gradient and changes no store state. It drops each entry's captures as the
+sweep passes it, so a tape runs one backward: after it, ``backward`` and
+``relu_signature`` on that tape raise.
 
 ``gradcheck`` is the finite-difference referee: central differences on a
 seeded sample of coordinates per parameter tensor, run in double precision.
@@ -110,7 +112,7 @@ class Entry:
 
     ``inputs`` are the inputs' entries and ``shape`` the output's. ``meta``
     holds a training ReLU's output, which its ``grad_fn`` reads and
-    ``relu_signature`` reports.
+    ``relu_signature`` reports, until ``backward`` drops both.
     """
 
     idx: int
@@ -165,6 +167,7 @@ class Tape:
         self.nodes: list[Entry] = []
         self.staged_updates: list[tuple[str, np.ndarray]] = []
         self._scope: list[str] = []
+        self._spent = False  # backward has run and released what it read
 
     # -- graph construction ------------------------------------------------
 
@@ -284,11 +287,19 @@ class Tape:
 
     def backward(self, loss: Node) -> dict:
         """Gradients of a scalar loss, parameter name -> array, for each parameter
-        it reads; changes no state. The arrays may share memory: never write them."""
+        it reads; changes no store state. The arrays may share memory: never
+        write them.
+
+        The sweep drops each entry's ``grad_fn``, and a ReLU entry's output,
+        as it passes, so what backward has read is freed before it ends. That
+        spends the tape: ``backward`` or ``relu_signature`` on it again raises.
+        """
         if not self.training:
             raise ValueError("backward on an eval tape (training=False): it records no backward")
+        self._check_unspent("backward")
         if loss.data.shape != ():
             raise ShapeError(f"backward requires a scalar loss, got shape {loss.data.shape}")
+        self._spent = True
         start = loss.entry.idx
         grads: dict[int, np.ndarray] = {start: np.asarray(loss.data.dtype.type(1.0))}
         # grad_fn outputs may alias each other (add hands the same array to
@@ -299,15 +310,16 @@ class Tape:
         for node in reversed(self.nodes):
             g = grads.pop(node.idx, None)
             owned.discard(node.idx)
+            grad_fn, node.grad_fn, node.meta = node.grad_fn, None, None
             if g is None:
                 continue
             if node.kind == "param":
                 name = node.param_name
                 param_grads[name] = param_grads[name] + g if name in param_grads else g
                 continue
-            if node.grad_fn is None:
+            if grad_fn is None:
                 continue
-            input_grads = node.grad_fn(g)
+            input_grads = grad_fn(g)
             for inp, ig in zip(node.inputs, input_grads):
                 if ig is None:
                     continue
@@ -331,7 +343,13 @@ class Tape:
         if not self.training:
             raise ValueError("relu_signature on an eval tape (training=False): "
                              "it keeps no ReLU output")
+        self._check_unspent("relu_signature")
         return [n.meta > 0 for n in self.nodes if n.kind == "relu"]
+
+    def _check_unspent(self, what: str) -> None:
+        if self._spent:
+            raise ValueError(f"{what} on a spent tape: backward has run on it "
+                             "and released what the forward recorded")
 
 
 # -- finite-difference checker ----------------------------------------------

@@ -9,6 +9,14 @@ batched matrix multiply writes the NCHW output in place and the backward
 passes reuse the same layout. A 1x1, stride-1, unpadded conv's patch matrix
 is its input: ``im2col`` returns a reshaped view of ``x``, with no copy.
 
+Each production conv kernel lowers its batch a chunk of images at a time, as
+many as keep the chunk's patch matrices within ``PATCH_BYTES``, so no patch
+matrix of the whole batch is ever built. Each chunk is unfolded (or
+scattered) and multiplied, and its products land in that chunk's images of
+one output buffer. Each image's product is a GEMM of its own, so chunking
+changes no output byte; kernel gradients add image by image, in order, as
+the unchunked ``sum(axis=0)`` over images did.
+
 ``conv2d_backward`` unfolds the output gradient of a stride-1 conv once and
 takes both gradients from it: the input gradient is a forward convolution of
 that gradient with the flipped, transposed kernel, and the kernel gradient
@@ -23,6 +31,10 @@ from __future__ import annotations
 import numpy as np
 
 from .tensor import ShapeError, check_same_precision
+
+# Patch-matrix bytes a conv lowers at once: a few images at the published
+# widths, where a whole stage-1 batch of 256 would take 151 MB.
+PATCH_BYTES = 4 << 20
 
 
 def conv_out_extent(extent: int, k: int, stride: int, padding: int) -> int:
@@ -83,6 +95,20 @@ def _check_conv_shapes(x: np.ndarray, kernel: np.ndarray):
     check_same_precision(x, kernel)
 
 
+def _chunks(n: int, image_bytes: int) -> list:
+    """Slices of a batch of ``n``, each as many images as keep their patch
+    matrices (``image_bytes`` each) within ``PATCH_BYTES``, and at least one."""
+    step = max(1, PATCH_BYTES // image_bytes)
+    return [slice(i, i + step) for i in range(0, n, step)]
+
+
+def _add_products(total: np.ndarray, a: np.ndarray, cols: np.ndarray) -> None:
+    """``total += a[i] @ cols[i]^T`` for each image i, in image order: the order
+    of a ``sum(axis=0)`` over the whole batch's products, which starts from zero."""
+    for product in a @ cols.transpose(0, 2, 1):
+        total += product
+
+
 def conv2d(x: np.ndarray, kernel: np.ndarray, stride: int = 1, padding: int = 0) -> np.ndarray:
     """Cross-correlation with zero padding, via im2col + matmul."""
     _check_conv_shapes(x, kernel)
@@ -95,15 +121,15 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, stride: int = 1, padding: int = 0)
             f"conv2d output collapses: input {x.shape}, kernel {kernel.shape}, "
             f"stride {stride}, padding {padding}"
         )
-    cols = im2col(x, kh, kw, stride, padding)
-    return _gemm(kernel.reshape(o, c * kh * kw), cols, (n, o, oh, ow))
-
-
-def _gemm(weights: np.ndarray, cols: np.ndarray, out_shape: tuple) -> np.ndarray:
-    """A weight matrix times each image's patch matrix, into a fresh NCHW array."""
-    n, o = out_shape[:2]
-    out = np.empty(out_shape, dtype=cols.dtype)
-    np.matmul(weights, cols, out=out.reshape(n, o, -1))
+    weights = kernel.reshape(o, c * kh * kw)
+    out = None
+    for s in _chunks(n, c * kh * kw * oh * ow * x.itemsize):
+        cols = im2col(x[s], kh, kw, stride, padding)
+        if out is None:
+            # allocated once the first patch matrix exists, by when the padded
+            # copy of the input it was unfolded from has been freed
+            out = np.empty((n, o, oh, ow), dtype=x.dtype)
+        np.matmul(weights, cols, out=out[s].reshape(len(cols), o, oh * ow))
     return out
 
 
@@ -112,18 +138,27 @@ def conv2d_input_grad(grad_out: np.ndarray, kernel: np.ndarray, x_shape: tuple,
     """Input gradient by scattering the patch gradient back with ``col2im``."""
     n, o, oh, ow = grad_out.shape
     _, c, kh, kw = kernel.shape
-    cols_grad = kernel.reshape(o, c * kh * kw).T @ grad_out.reshape(n, o, oh * ow)
-    # col2im returns the interior of its padded grid, a view
-    return np.ascontiguousarray(col2im(cols_grad, x_shape, kh, kw, stride, padding))
+    weights = kernel.reshape(o, c * kh * kw).T
+    dx = None
+    for s in _chunks(n, c * kh * kw * oh * ow * grad_out.itemsize):
+        g = grad_out[s]
+        cols_grad = weights @ g.reshape(len(g), o, oh * ow)
+        img = col2im(cols_grad, (len(g), *x_shape[1:]), kh, kw, stride, padding)
+        if dx is None:  # allocated after the first scatter, as in conv2d
+            dx = np.empty(x_shape, dtype=img.dtype)
+        dx[s] = img
+    return dx
 
 
 def conv2d_kernel_grad(grad_out: np.ndarray, x: np.ndarray, kernel_shape: tuple,
                        stride: int, padding: int) -> np.ndarray:
     n, o, oh, ow = grad_out.shape
     _, c, kh, kw = kernel_shape
-    cols = im2col(x, kh, kw, stride, padding)
-    g = grad_out.reshape(n, o, oh * ow)
-    return (g @ cols.transpose(0, 2, 1)).reshape(n, *kernel_shape).sum(axis=0)
+    total = np.zeros(kernel_shape, dtype=x.dtype)
+    for s in _chunks(n, c * kh * kw * oh * ow * x.itemsize):
+        cols = im2col(x[s], kh, kw, stride, padding)
+        _add_products(total.reshape(o, -1), grad_out[s].reshape(len(cols), o, oh * ow), cols)
+    return total
 
 
 def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, kernel: np.ndarray,
@@ -148,13 +183,17 @@ def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, kernel: np.ndarray,
         dx = conv2d_input_grad(grad_out, kernel, x.shape, stride, padding) if input_grad else None
         return dx, conv2d_kernel_grad(grad_out, x, kernel.shape, stride, padding)
     n, _, h, w = x.shape
-    gcols = im2col(grad_out, k, k, 1, k - 1 - padding)
+    # reshaping the flipped view copies it into a contiguous (C, O*K*K) matrix
+    flipped = kernel.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].reshape(c, o * k * k)
     dx = None
-    if input_grad:
-        # reshaping the flipped view copies it into a contiguous (C, O*K*K) matrix
-        flipped = kernel.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].reshape(c, o * k * k)
-        dx = _gemm(flipped, gcols, x.shape)
-    flipped_grad = (x.reshape(n, c, h * w) @ gcols.transpose(0, 2, 1)).sum(axis=0)
+    flipped_grad = np.zeros((c, o * k * k), dtype=x.dtype)
+    for s in _chunks(n, o * k * k * h * w * x.itemsize):
+        gcols = im2col(grad_out[s], k, k, 1, k - 1 - padding)
+        if input_grad:
+            if dx is None:  # allocated after the first patch matrix, as in conv2d
+                dx = np.empty(x.shape, dtype=x.dtype)
+            np.matmul(flipped, gcols, out=dx[s].reshape(len(gcols), c, h * w))
+        _add_products(flipped_grad, x[s].reshape(len(gcols), c, h * w), gcols)
     dkernel = flipped_grad.reshape(c, o, k, k).transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
     return dx, dkernel.copy()
 

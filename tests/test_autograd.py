@@ -40,16 +40,21 @@ class TestBackward:
 
     @pytest.mark.parametrize("family,depth", [("plain", 8), ("resnet-preact-bottleneck", 11)])
     def test_backward_is_pure(self, family, depth):
-        # two sweeps of one tape return the same bytes and leave the store as it was
+        # backward leaves the store as it was, so the sweep of a second forward returns
+        # the same bytes; the tape it swept is spent and refuses a second reading
         model = build_network(NetworkConfig(family=family, depth=depth, seed=1))
-        loss, _, tape = model.loss(*training_batch(family))
+        batch = training_batch(family)
         before = {name: p.value.data.tobytes() for name, p in model.store.items()}
+        loss, _, tape = model.loss(*batch)
         first = tape.backward(loss)
         once = {name: g.tobytes() for name, g in first.items()}
-        second = tape.backward(loss)
-        assert {name: g.tobytes() for name, g in second.items()} == once
-        assert {name: g.tobytes() for name, g in first.items()} == once
+        for spent in (lambda: tape.backward(loss), tape.relu_signature):
+            with pytest.raises(ValueError, match="spent tape"):
+                spent()
         assert {name: p.value.data.tobytes() for name, p in model.store.items()} == before
+        loss, _, tape = model.loss(*batch)
+        assert {name: g.tobytes() for name, g in tape.backward(loss).items()} == once
+        assert {name: g.tobytes() for name, g in first.items()} == once
         # a network's loss reads every trainable parameter, in the store's dtype and shape
         assert set(first) == {name for name, _ in model.store.trainable_items()}
         for name, g in first.items():
@@ -421,12 +426,24 @@ class TestConvBackwardWork:
 
     @pytest.mark.parametrize("family,depth", [("plain", 8), ("resnet-preact", 8),
                                               ("resnet-preact-bottleneck", 11)])
-    def test_one_unfold_per_conv_in_backward(self, family, depth, monkeypatch):
+    @pytest.mark.parametrize("patch_bytes", [None, 1], ids=["one-chunk", "per-image"])
+    def test_one_unfold_per_conv_in_backward(self, family, depth, patch_bytes, monkeypatch):
+        # counted in images, so a batch lowered in several chunks unfolds each image once too
+        if patch_bytes:
+            monkeypatch.setattr(kernels, "PATCH_BYTES", patch_bytes)
         model = build_network(NetworkConfig(family=family, depth=depth, seed=1))
-        loss, _, tape = model.loss(*training_batch(family))
-        calls = count_calls(monkeypatch, kernels, "im2col")
+        x, labels = training_batch(family)
+        loss, _, tape = model.loss(x, labels)
+        unfolded = []  # the batch extent of each unfold
+
+        def counted(a, *args, _original=kernels.im2col):
+            unfolded.append(len(a))
+            return _original(a, *args)
+
+        monkeypatch.setattr(kernels, "im2col", counted)
         tape.backward(loss)
-        assert calls["im2col"] == sum(n.kind == "conv2d" for n in tape.nodes)
+        assert sum(unfolded) == len(x) * sum(n.kind == "conv2d" for n in tape.nodes)
+        assert set(unfolded) == {patch_bytes or len(x)}
 
     def test_skipped_image_gradient_leaves_parameter_gradients_alone(self, monkeypatch):
         model = build_network(NetworkConfig(family="plain", depth=8, seed=1))
@@ -550,6 +567,19 @@ class TestNodeContract:
         gradcheck(oracle.loss_builder(x, labels), oracle.store, sample=2)
 
 
+def capture_refs(tape, store):
+    """(weakref, index of the first entry that reads it) for every array an entry
+    keeps, parameter values aside: the sweep passes that entry last."""
+    params = {id(p.value.data) for _, p in store.items()}
+    first_reader = {}
+    for entry in tape.nodes:
+        kept = captured_arrays(entry) + ([entry.meta] if entry.meta is not None else [])
+        for array in kept:
+            if id(array) not in params:
+                first_reader.setdefault(id(array), (weakref.ref(array), entry.idx))
+    return list(first_reader.values())
+
+
 class TestTapeMemory:
     """Reference counting frees every output no ``grad_fn`` captured once the forward drops it."""
 
@@ -584,6 +614,30 @@ class TestTapeMemory:
         assert all(ref() is None for ref in identity_inputs)
         assert all(outputs[i]() is not None for i in conv_inputs)
         tape.backward(loss)  # and backward still has all it reads
+
+    @pytest.mark.parametrize("family,depth", NODE_FAMILIES, ids=NODE_FAMILY_IDS)
+    def test_backward_frees_each_capture_once_swept(self, family, depth):
+        model = build_network(NetworkConfig(family=family, depth=depth,
+                                            stage_widths=(4, 4, 8), seed=1))
+        loss, logits, tape = model.loss(*training_batch(family))
+        del logits  # the loss is the only handle left
+        refs = capture_refs(tape, model.store)
+        alive = []  # captures alive, as each grad_fn is called, that only swept entries read
+
+        def counting(entry, grad_fn):
+            def counted(g):
+                alive.append(sum(ref() is not None for ref, first in refs if first > entry.idx))
+                return grad_fn(g)
+            return counted
+
+        for entry in tape.nodes:
+            if entry.grad_fn is not None:
+                entry.grad_fn = counting(entry, entry.grad_fn)
+        tape.backward(loss)
+        assert refs and len(alive) == sum(e.kind not in ("constant", "param") for e in tape.nodes)
+        assert alive == [0] * len(alive)
+        assert [ref for ref, _ in refs if ref() is not None] == []
+        assert all(e.grad_fn is None and e.meta is None for e in tape.nodes)
 
     def test_eval_forward_streams(self):
         model = build_network(NetworkConfig(family="plain", depth=8, seed=1))

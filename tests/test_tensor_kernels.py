@@ -1,6 +1,7 @@
 """Tensor container rules and the numeric kernels against their oracles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,6 +254,69 @@ class TestLowering:
         assert not np.shares_memory(cols, x)
         back = kernels.col2im(cols, x.shape, 1, 1, stride, pad)
         assert back.shape == x.shape and not np.shares_memory(back, cols)
+
+
+class TestChunkedLowering:
+    """A batch lowered a few images at a time: one chunk's bytes, no whole-batch patch matrix."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k,stride,pad", [(3, 1, 1), (3, 2, 1), (1, 1, 0), (1, 2, 0)])
+    def test_chunks_match_one_chunk_bytewise(self, k, stride, pad, dtype, monkeypatch):
+        rng = np.random.default_rng(30 + 4 * k + 2 * stride + pad)
+        n, c, h = 7, 3, 6
+        x = rng.standard_normal((n, c, h, h)).astype(dtype)
+        kern = rng.standard_normal((c, c, k, k)).astype(dtype)  # o == c: one patch-matrix size
+        side = kernels.conv_out_extent(h, k, stride, pad)
+        g = rng.standard_normal((n, c, side, side)).astype(dtype)
+        calls = {
+            "conv2d": lambda: [kernels.conv2d(x, kern, stride, pad)],
+            "conv2d_backward": lambda: kernels.conv2d_backward(g, x, kern, stride, pad, True),
+            "conv2d_input_grad": lambda: [kernels.conv2d_input_grad(g, kern, x.shape, stride, pad)],
+            "conv2d_kernel_grad": lambda: [kernels.conv2d_kernel_grad(g, x, kern.shape, stride, pad)],
+        }
+        extents = []  # the batch extent of each unfold and scatter
+        for name in ("im2col", "col2im"):
+            def counted(a, *args, _original=getattr(kernels, name)):
+                extents.append(len(a))
+                return _original(a, *args)
+            monkeypatch.setattr(kernels, name, counted)
+
+        def run(name):
+            extents.clear()
+            return [r.tobytes() for r in calls[name]()], list(extents)
+
+        whole = {name: run(name) for name in calls}
+        # room for two and a half images' patch matrices: chunks of 2, 2, 2 and 1
+        monkeypatch.setattr(kernels, "PATCH_BYTES", 5 * c * k * k * side * side * x.itemsize // 2)
+        for name in calls:
+            results, chunks = run(name)
+            assert results == whole[name][0], name
+            lowerings = len(whole[name][1])
+            assert lowerings and whole[name][1] == [n] * lowerings, name
+            assert chunks == [2, 2, 2, 1] * lowerings, name
+
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    def test_peak_stays_under_four_activations(self, backward):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((64, 16, 32, 32)).astype(np.float32)
+        kern = rng.standard_normal((16, 16, 3, 3)).astype(np.float32)
+        g = rng.standard_normal(x.shape).astype(np.float32)
+
+        def conv():
+            if backward:
+                return kernels.conv2d_backward(g, x, kern, 1, 1, True)
+            return kernels.conv2d(x, kern, 1, 1)
+
+        conv()  # first-call allocations stay out of the measurement
+        tracemalloc.start()
+        try:
+            result = conv()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result is not None
+        # the whole batch's patch matrix alone would be 9 activations
+        assert peak < 4 * x.nbytes, peak / x.nbytes
 
 
 class TestElementwise:
