@@ -167,6 +167,7 @@ class Tape:
         self.nodes: list[Entry] = []
         self.staged_updates: list[tuple[str, np.ndarray]] = []
         self._scope: list[str] = []
+        self.current_scope = ""  # the dotted scope path, joined once per push or pop
         self._spent = False  # backward has run and released what it read
 
     # -- graph construction ------------------------------------------------
@@ -174,14 +175,12 @@ class Tape:
     @contextmanager
     def scope(self, name: str):
         self._scope.append(name)
+        self.current_scope = ".".join(self._scope)
         try:
             yield
         finally:
             self._scope.pop()
-
-    @property
-    def current_scope(self) -> str:
-        return ".".join(self._scope)
+            self.current_scope = ".".join(self._scope)
 
     def record(self, kind: str, inputs: tuple, value: np.ndarray,
                grad_fn: Optional[Callable], meta=None, param_name=None) -> Node:

@@ -1,21 +1,36 @@
 """Numeric kernels: convolution, pooling, elementwise ops, reductions.
 
 Everything here is a pure function on numpy arrays with a fixed loop nest,
-so outputs are bit-identical across runs. The production convolution lowers
-each image to a patch matrix of shape (C*KH*KW, OH*OW): ``im2col`` fills an
-(N, C, KH, KW, OH, OW) buffer that is that stack of matrices without a
-transpose, in one copy from a strided view of the (padded) input, so one
-batched matrix multiply writes the NCHW output in place and the backward
-passes reuse the same layout. A 1x1, stride-1, unpadded conv's patch matrix
-is its input: ``im2col`` returns a reshaped view of ``x``, with no copy.
+so outputs are bit-identical across runs. Convolutions take one of two
+lowerings, chosen from the shapes of each call.
 
-Each production conv kernel lowers its batch a chunk of images at a time, as
-many as keep the chunk's patch matrices within ``PATCH_BYTES``, so no patch
-matrix of the whole batch is ever built. Each chunk is unfolded (or
-scattered) and multiplied, and its products land in that chunk's images of
-one output buffer. Each image's product is a GEMM of its own, so chunking
-changes no output byte; kernel gradients add image by image, in order, as
-the unchunked ``sum(axis=0)`` over images did.
+The row-shift lowering (after MEC, Cho and Brand 2017) serves every stride-1
+k x k conv at padding (k-1)/2, k > 1, whose input has at least
+``ROW_SHIFT_MIN_PIXELS`` pixels (N*H*W), such as the stride-1 3x3 convs of
+every family at training and eval batch sizes. ``row_unfold`` unfolds the
+input along kernel columns only, k copies where ``im2col`` writes k*k, and
+one GEMM per chunk of images multiplies every kernel row with it. Its output
+sums one kernel row at a time and its kernel gradient one chunk at a time,
+so its bytes differ in the last bits from the per-image lowering's and
+depend on where the chunks fall. Below the cutoff, such as the gradient
+oracle's batch-2 maps and ``collapse_check``'s probes, re-laying out the
+kernel on each call and the junk slots of small maps cost more than the
+chunk-wide GEMM saves.
+
+Every other conv lowers each image to a patch matrix of shape
+(C*KH*KW, OH*OW): ``im2col`` fills an (N, C, KH, KW, OH, OW) buffer that is
+that stack of matrices without a transpose, in one copy from a strided view
+of the (padded) input, so one batched matrix multiply writes the NCHW
+output in place and the backward passes reuse the same layout. A 1x1,
+stride-1, unpadded conv's patch matrix is its input: ``im2col`` returns a
+reshaped view of ``x``, with no copy. Each image's product is a GEMM of its
+own, so on this lowering chunking changes no output byte; kernel gradients
+add image by image, in order, as the unchunked ``sum(axis=0)`` over images
+did.
+
+Both lowerings run over the batch a chunk of images at a time, as many as
+keep the chunk's patch matrices within ``PATCH_BYTES``, so no patch matrix
+of the whole batch is ever built.
 
 ``conv2d_backward`` unfolds the output gradient of a stride-1 conv once and
 takes both gradients from it: the input gradient is a forward convolution of
@@ -23,7 +38,7 @@ that gradient with the flipped, transposed kernel, and the kernel gradient
 is the input times the same matrix, so ``x`` is not unfolded again. Only
 strided convs scatter their patch gradient back with ``col2im`` and unfold
 ``x`` for their kernel gradient. ``conv2d_naive`` keeps the six-deep
-reference loop around as the test oracle for that path.
+reference loop around as the test oracle for both lowerings.
 """
 
 from __future__ import annotations
@@ -33,8 +48,17 @@ import numpy as np
 from .tensor import ShapeError, check_same_precision
 
 # Patch-matrix bytes a conv lowers at once: a few images at the published
-# widths, where a whole stage-1 batch of 256 would take 151 MB.
-PATCH_BYTES = 4 << 20
+# widths, where a whole stage-1 batch of 256 would take 151 MB. At 1 MiB,
+# plain-38's stage-shape convs ran as fast as at 2 or 4 MiB, and a row-shift
+# backward peaks lower.
+PATCH_BYTES = 1 << 20
+
+# Fewest pixels (N*H*W of the input) for which a stride-1 conv takes the
+# row-shift lowering. Below it, re-laying out the kernel on each call and the
+# junk slots of small maps cost more than the chunk-wide GEMMs save.
+ROW_SHIFT_MIN_PIXELS = 512
+
+_WHOLE_BATCH = (slice(None),)
 
 
 def conv_out_extent(extent: int, k: int, stride: int, padding: int) -> int:
@@ -95,10 +119,12 @@ def _check_conv_shapes(x: np.ndarray, kernel: np.ndarray):
     check_same_precision(x, kernel)
 
 
-def _chunks(n: int, image_bytes: int) -> list:
+def _chunks(n: int, image_bytes: int):
     """Slices of a batch of ``n``, each as many images as keep their patch
     matrices (``image_bytes`` each) within ``PATCH_BYTES``, and at least one."""
     step = max(1, PATCH_BYTES // image_bytes)
+    if step >= n:
+        return _WHOLE_BATCH
     return [slice(i, i + step) for i in range(0, n, step)]
 
 
@@ -109,8 +135,113 @@ def _add_products(total: np.ndarray, a: np.ndarray, cols: np.ndarray) -> None:
         total += product
 
 
+def _row_shifts(x_shape: tuple, kernel_shape: tuple, stride: int, padding: int) -> bool:
+    """Whether a conv takes the row-shift lowering: stride 1, an odd square
+    kernel wider than 1 at padding (k-1)/2, and at least ``ROW_SHIFT_MIN_PIXELS``."""
+    n, _, h, w = x_shape
+    _, _, kh, kw = kernel_shape
+    return stride == 1 and kh == kw == 2 * padding + 1 > 1 and n * h * w >= ROW_SHIFT_MIN_PIXELS
+
+
+def _on_grid(x: np.ndarray, p: int, offset: int, length: int) -> np.ndarray:
+    """NCHW ``x`` laid channel-major on a zeroed (C, length) grid of rows W+p
+    wide, pixel (b, y, z) at offset + (b*(H+p) + y)*(W+p) + z."""
+    n, c, h, w = x.shape
+    grid = np.zeros((c, length), dtype=x.dtype)
+    span = n * (h + p) * (w + p)
+    grid[:, offset:offset + span].reshape(c, n, h + p, w + p)[:, :, :h, :w] = x.transpose(1, 0, 2, 3)
+    return grid
+
+
+def _shifted_rows(grid: np.ndarray, k: int, step: int, length: int) -> np.ndarray:
+    """(C*k, length) matrix whose row (c, i) is grid[c, i*step:i*step + length],
+    in one copy from a strided view of ``grid``."""
+    c = len(grid)
+    sc, si = grid.strides
+    rows = np.empty((c, k, length), dtype=grid.dtype)
+    np.copyto(rows, np.ndarray((c, k, length), grid.dtype, grid, 0, (sc, step * si, si)))
+    return rows.reshape(c * k, length)
+
+
+def row_unfold(x: np.ndarray, k: int) -> np.ndarray:
+    """Row-shift patch matrix (C*k, L) of NCHW input, for a stride-1 k x k conv
+    at padding p = (k-1)/2.
+
+    Image b's pixel (y, z) lies at (b*(H+p) + p + y)*(W+p) + p + z on a
+    zeroed channel-major grid, so the p zeros between neighbouring rows and
+    images pad both. Row (c, j) of the matrix is channel c of the grid from
+    column j on, so tap (i, j) of output slot t sits at column t + i*(W+p):
+    each kernel row's patch matrix is a column-offset view, and the unfold is
+    k copies of the input, not k*k. Output pixel (b, y, z) is slot
+    (b*(H+p) + y)*(W+p) + z; the other slots below N*(H+p)*(W+p) are junk.
+    """
+    n, _, h, w = x.shape
+    p = (k - 1) // 2
+    length = n * (h + p) * (w + p) + (k - 1) * (w + p)
+    return _shifted_rows(_on_grid(x, p, p * (w + p) + p, length + k - 1), k, 1, length)
+
+
+def _row_shift_products(rows: np.ndarray, cols: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
+    """(O, N, H, W) view of the conv of ``cols``, a ``row_unfold``, by ``rows``
+    (k, O, C*k), the kernel's rows.
+
+    One GEMM multiplies every kernel row with the whole unfold; row i's
+    product, read i grid rows on, adds into the output in order of i."""
+    k, o, _ = rows.shape
+    p = (k - 1) // 2
+    span = n * (h + p) * (w + p)
+    products = (rows.reshape(k * o, -1) @ cols).reshape(k, o, -1)
+    wide = products[0, :, :span] + products[1, :, w + p:w + p + span]
+    for i in range(2, k):
+        wide += products[i, :, i * (w + p):i * (w + p) + span]
+    return wide.reshape(o, n, h + p, w + p)[:, :, :h, :w]
+
+
+def _row_shift_conv(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    n, c, h, w = x.shape
+    o, _, k, _ = kernel.shape
+    p = (k - 1) // 2
+    rows = kernel.transpose(2, 0, 1, 3).reshape(k, o, c * k)
+    out = np.empty((n, o, h, w), dtype=x.dtype)
+    for s in _chunks(n, c * k * (h + p) * (w + p) * x.itemsize):
+        xs = x[s]
+        out[s] = _row_shift_products(rows, row_unfold(xs, k), len(xs), h, w).transpose(1, 0, 2, 3)
+    return out
+
+
+def _row_shift_backward(grad_out: np.ndarray, x: np.ndarray, kernel: np.ndarray,
+                        input_grad: bool) -> tuple:
+    """``conv2d_backward`` of a row-shift conv, from one ``row_unfold`` of
+    ``grad_out`` per chunk.
+
+    ``dx`` is the forward of ``grad_out`` with the kernel flipped in space and
+    transposed in channels. For the kernel gradient, ``x`` is laid on the
+    output slots k times: in row i of ``xrows`` it sits k-1-i grid rows on, so
+    against the unfold's row (o, j) each pixel of ``x`` meets the gradient at
+    tap (k-1-i, j), and the product is the kernel gradient at tap (i, k-1-j).
+    """
+    n, c, h, w = x.shape
+    o, _, k, _ = kernel.shape
+    p = (k - 1) // 2
+    pitch, width = h + p, w + p
+    flipped = kernel[:, :, ::-1, ::-1].transpose(2, 1, 0, 3).reshape(k, c, o * k)
+    dx = np.empty(x.shape, dtype=x.dtype) if input_grad else None
+    grad = np.zeros((c * k, o * k), dtype=x.dtype)
+    for s in _chunks(n, o * k * pitch * width * x.itemsize):
+        g = grad_out[s]
+        gcols = row_unfold(g, k)
+        if input_grad:
+            dx[s] = _row_shift_products(flipped, gcols, len(g), h, w).transpose(1, 0, 2, 3)
+        length = gcols.shape[1]
+        xrows = _shifted_rows(_on_grid(x[s], p, (k - 1) * width, length + (k - 1) * width),
+                              k, width, length)
+        grad += xrows @ gcols.T
+    dkernel = grad.reshape(c, k, o, k)[:, :, :, ::-1].transpose(2, 0, 1, 3)
+    return dx, dkernel.copy()
+
+
 def conv2d(x: np.ndarray, kernel: np.ndarray, stride: int = 1, padding: int = 0) -> np.ndarray:
-    """Cross-correlation with zero padding, via im2col + matmul."""
+    """Cross-correlation with zero padding, by the row-shift lowering or im2col + matmul."""
     _check_conv_shapes(x, kernel)
     n, _, h, w = x.shape
     o, c, kh, kw = kernel.shape
@@ -121,6 +252,8 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, stride: int = 1, padding: int = 0)
             f"conv2d output collapses: input {x.shape}, kernel {kernel.shape}, "
             f"stride {stride}, padding {padding}"
         )
+    if _row_shifts(x.shape, kernel.shape, stride, padding):
+        return _row_shift_conv(x, kernel)
     weights = kernel.reshape(o, c * kh * kw)
     out = None
     for s in _chunks(n, c * kh * kw * oh * ow * x.itemsize):
@@ -170,11 +303,22 @@ def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, kernel: np.ndarray,
     matrix, at input pixel (y, z), holds grad_out[n, o, y+a-q, z+b-q] with
     q = k-1-p, so ``x @ gcols^T`` summed over images is the kernel gradient
     flipped in space and transposed in channels. The kernel gradient is
-    computed the same way whether or not ``dx`` is wanted. Other convs call
+    computed the same way whether or not ``dx`` is wanted. A conv that takes
+    the row-shift lowering in ``conv2d`` takes it here too. Other convs call
     ``conv2d_input_grad`` and ``conv2d_kernel_grad``. Both results are
-    C-contiguous arrays of their own.
+    C-contiguous arrays of their own. A ``grad_out`` of another shape than
+    the forward's output raises ``ShapeError``.
     """
+    n, _, h, w = x.shape
     o, c, k, kw = kernel.shape
+    out_shape = (n, o, conv_out_extent(h, k, stride, padding), conv_out_extent(w, kw, stride, padding))
+    if grad_out.shape != out_shape:
+        raise ShapeError(
+            f"conv2d_backward grad_out shape {grad_out.shape} does not match "
+            f"the conv's output shape {out_shape}"
+        )
+    if _row_shifts(x.shape, kernel.shape, stride, padding):
+        return _row_shift_backward(grad_out, x, kernel, input_grad)
     # The adjoint of a stride-1 correlation is a full correlation of grad_out
     # with the kernel flipped in space and transposed in channels, at padding
     # k-1-p. At padding >= k that would be negative, so those convs scatter
@@ -182,7 +326,6 @@ def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, kernel: np.ndarray,
     if not (stride == 1 and k == kw and padding < k):
         dx = conv2d_input_grad(grad_out, kernel, x.shape, stride, padding) if input_grad else None
         return dx, conv2d_kernel_grad(grad_out, x, kernel.shape, stride, padding)
-    n, _, h, w = x.shape
     # reshaping the flipped view copies it into a contiguous (C, O*K*K) matrix
     flipped = kernel.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].reshape(c, o * k * k)
     dx = None

@@ -91,8 +91,9 @@ class Tensor:
 
 def check_same_precision(*arrays) -> np.dtype:
     """Verify all operands share one dtype; returns it."""
-    dtypes = {np.dtype(a.dtype) for a in arrays}
-    if len(dtypes) != 1:
-        names = sorted(_NAME_OF_DTYPE.get(d, str(d)) for d in dtypes)
-        raise PrecisionError(f"mixed precisions in one op: {names}")
-    return dtypes.pop()
+    dtype = arrays[0].dtype
+    for a in arrays[1:]:
+        if a.dtype != dtype:
+            names = sorted({_NAME_OF_DTYPE.get(np.dtype(b.dtype), str(b.dtype)) for b in arrays})
+            raise PrecisionError(f"mixed precisions in one op: {names}")
+    return dtype

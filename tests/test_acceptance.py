@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from propmod import (DataError, NetworkConfig, TrainConfig,
-                     audit, build_network, collapse_check, fit, gradcheck,
+                     audit, build_network, collapse_check, fit, gradcheck, kernels,
                      load_cifar, make_synthetic, nesterov_step)
 from propmod.autograd import seeded_rng
 from propmod.cli import main as cli_main
@@ -76,10 +76,15 @@ class TestAcceptance:
         report(f"gradient oracle (max rel err {worst:.2e}, {elapsed:.0f}s; "
                f"bottleneck uses depth 11, its smallest valid)")
 
-    def test_convolution_oracle(self):
-        """im2col conv vs naive loop: 200 random shapes <= 2x4x8x8, 1e-12 rel."""
+    def test_convolution_oracle(self, monkeypatch):
+        """im2col and row-shift conv vs naive loop: 200 random shapes <= 2x4x8x8, 1e-12 rel.
+
+        Each shape runs twice: at the row-shift cutoff, where shapes this small
+        take ``im2col``, and at a cutoff of 0, where every stride-1 conv at
+        padding (k-1)/2 takes the row shift."""
         rng = np.random.default_rng(20240)
         checked = 0
+        row_shifted = 0
         worst = 0.0
         while checked < 200:
             n = int(rng.integers(1, 3))
@@ -93,13 +98,19 @@ class TestAcceptance:
                 continue
             x = rng.standard_normal((n, c, h, w))
             kern = rng.standard_normal((o, c, k, k))
-            fast = conv2d(x, kern, stride, pad)
             slow = conv2d_naive(x, kern, stride, pad)
-            rel = np.abs(fast - slow).max() / max(np.abs(slow).max(), 1e-30)
-            assert rel < 1e-12, (x.shape, kern.shape, stride, pad, rel)
-            worst = max(worst, rel)
+            for cutoff in (kernels.ROW_SHIFT_MIN_PIXELS, 0):
+                with monkeypatch.context() as patch:
+                    patch.setattr(kernels, "ROW_SHIFT_MIN_PIXELS", cutoff)
+                    fast = conv2d(x, kern, stride, pad)
+                rel = np.abs(fast - slow).max() / max(np.abs(slow).max(), 1e-30)
+                assert rel < 1e-12, (x.shape, kern.shape, stride, pad, cutoff, rel)
+                worst = max(worst, rel)
+            row_shifted += stride == 1 and k == 2 * pad + 1 > 1
             checked += 1
-        report(f"convolution oracle (200 shapes, worst rel {worst:.2e})")
+        assert row_shifted > 0
+        report(f"convolution oracle (200 shapes, {row_shifted} of them also row-shifted, "
+               f"worst rel {worst:.2e})")
 
     def test_collapse_oracle(self):
         """Affine stacks match the composed conv to 1e-10; ReLU breaks it >= 1e-3."""

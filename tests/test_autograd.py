@@ -292,6 +292,20 @@ def store_bytes(store):
     return [(name, p.value.data.tobytes()) for name, p in store.items()]
 
 
+class TestRowShiftGradcheck:
+    """The gradient oracle certifies the row-shift lowering, forced onto its small maps."""
+
+    @pytest.mark.parametrize("family,depth,kw", [ORACLE_VARIANTS[0], ORACLE_VARIANTS[4]],
+                             ids=["plain-8", "bottleneck-11"])
+    def test_gradcheck_passes(self, family, depth, kw, monkeypatch):
+        monkeypatch.setattr(kernels, "ROW_SHIFT_MIN_PIXELS", 0)
+        calls = count_calls(monkeypatch, kernels, "im2col", "row_unfold")
+        model, x, labels = oracle_case(family, depth, kw)
+        result = gradcheck(model.loss_builder(x, labels), model.store, eps=1e-5, seed=0)
+        assert calls["row_unfold"] > 0 and calls["im2col"] > 0  # 1x1 and strided convs keep im2col
+        assert result.max_rel_err < 1e-6, result.max_rel_err
+
+
 class TestResumedGradcheck:
     """Perturbed evaluations start at the block owning the parameter; results must not move."""
 

@@ -166,35 +166,43 @@ class TestConv2d:
         assert np.array_equal(a, b)
 
     # the four lowering shapes of the published nets, at n=2 so the kernel
-    # gradient's sum over images is exercised
-    @pytest.mark.parametrize("ksize,stride,pad", [(3, 1, 1), (3, 2, 1), (1, 1, 0), (1, 2, 0)])
-    def test_backward_matches_finite_differences(self, ksize, stride, pad):
+    # gradient's sum over images is exercised, and the stride-1 convs (collapse
+    # check's 5x5 too) once more on the row-shift lowering, by a cutoff of 0
+    @pytest.mark.parametrize("ksize,stride,pad,cutoff", [
+        pytest.param(*case, None, id="-".join(map(str, case)))
+        for case in [(3, 1, 1), (3, 2, 1), (1, 1, 0), (1, 2, 0), (5, 1, 2)]
+    ] + [pytest.param(3, 1, 1, 0, id="3-1-1-row-shift"), pytest.param(5, 1, 2, 0, id="5-1-2-row-shift")])
+    def test_backward_matches_finite_differences(self, ksize, stride, pad, cutoff, monkeypatch):
+        if cutoff is not None:
+            monkeypatch.setattr(kernels, "ROW_SHIFT_MIN_PIXELS", cutoff)
         rng = np.random.default_rng(4)
         x = rng.standard_normal((2, 2, 5, 5))
         k = rng.standard_normal((3, 2, ksize, ksize))
         side = kernels.conv_out_extent(5, ksize, stride, pad)
         g = rng.standard_normal((2, 3, side, side))
-        gx = kernels.conv2d_input_grad(g, k, x.shape, stride, pad)
-        gk = kernels.conv2d_kernel_grad(g, x, k.shape, stride, pad)
+        separate = (kernels.conv2d_input_grad(g, k, x.shape, stride, pad),
+                    kernels.conv2d_kernel_grad(g, x, k.shape, stride, pad))
+        both = kernels.conv2d_backward(g, x, k, stride, pad, True)
 
         def conv(a, b):
             return kernels.conv2d(a, b, stride, pad)
 
         eps = 1e-6
-        for _ in range(20):
-            idx = tuple(rng.integers(0, s) for s in x.shape)
-            xp, xm = x.copy(), x.copy()
-            xp[idx] += eps
-            xm[idx] -= eps
-            num = ((conv(xp, k) - conv(xm, k)) * g).sum() / (2 * eps)
-            assert abs(num - gx[idx]) < 1e-8
-        for _ in range(20):
-            idx = tuple(rng.integers(0, s) for s in k.shape)
-            kp, km = k.copy(), k.copy()
-            kp[idx] += eps
-            km[idx] -= eps
-            num = ((conv(x, kp) - conv(x, km)) * g).sum() / (2 * eps)
-            assert abs(num - gk[idx]) < 1e-8
+        for gx, gk in (separate, both):
+            for _ in range(20):
+                idx = tuple(rng.integers(0, s) for s in x.shape)
+                xp, xm = x.copy(), x.copy()
+                xp[idx] += eps
+                xm[idx] -= eps
+                num = ((conv(xp, k) - conv(xm, k)) * g).sum() / (2 * eps)
+                assert abs(num - gx[idx]) < 1e-8
+            for _ in range(20):
+                idx = tuple(rng.integers(0, s) for s in k.shape)
+                kp, km = k.copy(), k.copy()
+                kp[idx] += eps
+                km[idx] -= eps
+                num = ((conv(x, kp) - conv(x, km)) * g).sum() / (2 * eps)
+                assert abs(num - gk[idx]) < 1e-8
 
     def test_output_is_contiguous_and_owned(self):
         rng = np.random.default_rng(5)
@@ -206,10 +214,15 @@ class TestConv2d:
         dx = kernels.conv2d_input_grad(out, k, x.shape, stride=1, padding=1)
         assert dx.flags.c_contiguous and dx.flags.owndata
 
-    @pytest.mark.parametrize("k,stride,pad", list(itertools.product((1, 2, 3), (1, 2), (0, 1))))
-    def test_backward_matches_separate_gradients(self, k, stride, pad):
+    @pytest.mark.parametrize("k,stride,pad,cutoff", [
+        pytest.param(*case, None, id="-".join(map(str, case)))
+        for case in [*itertools.product((1, 2, 3), (1, 2), (0, 1)), (5, 1, 2)]
+    ] + [pytest.param(3, 1, 1, 0, id="3-1-1-row-shift"), pytest.param(5, 1, 2, 0, id="5-1-2-row-shift")])
+    def test_backward_matches_separate_gradients(self, k, stride, pad, cutoff, monkeypatch):
         # the grid of test_input_grad_matches_scatter_adjoint: the stride-1 convs take
         # both gradients from one unfold of g, the others from the separate kernels
+        if cutoff is not None:
+            monkeypatch.setattr(kernels, "ROW_SHIFT_MIN_PIXELS", cutoff)
         rng = np.random.default_rng(10 + 12 * k + 6 * stride + pad)
         n, c, o = rng.integers(1, 3), rng.integers(1, 5), rng.integers(1, 5)
         h, w = rng.integers(3, 9), rng.integers(3, 9)
@@ -317,6 +330,98 @@ class TestChunkedLowering:
         assert result is not None
         # the whole batch's patch matrix alone would be 9 activations
         assert peak < 4 * x.nbytes, peak / x.nbytes
+
+
+def count_unfolds(monkeypatch):
+    """The batch extent of each ``im2col`` and ``row_unfold`` call, by name."""
+    extents = {"im2col": [], "row_unfold": []}
+    for name, seen in extents.items():
+        def counted(a, *args, _seen=seen, _original=getattr(kernels, name)):
+            _seen.append(len(a))
+            return _original(a, *args)
+        monkeypatch.setattr(kernels, name, counted)
+    return extents
+
+
+class TestRowShiftLowering:
+    """Stride-1 k x k convs at padding (k-1)/2 over at least ``ROW_SHIFT_MIN_PIXELS``
+    pixels unfold along kernel columns only; every other conv keeps ``im2col``."""
+
+    # x shape, kernel shape, stride, padding, whether the row shift serves it
+    DISPATCH = {
+        "3x3": ((2, 4, 16, 16), (5, 4, 3, 3), 1, 1, True),
+        "5x5": ((2, 4, 16, 16), (5, 4, 5, 5), 1, 2, True),
+        "3x3-below-cutoff": ((2, 4, 15, 15), (5, 4, 3, 3), 1, 1, False),
+        "3x3-stride-2": ((2, 4, 16, 16), (5, 4, 3, 3), 2, 1, False),
+        "3x3-unpadded": ((2, 4, 16, 16), (5, 4, 3, 3), 1, 0, False),
+        "1x1": ((2, 4, 16, 16), (5, 4, 1, 1), 1, 0, False),
+    }
+
+    @pytest.mark.parametrize("case", list(DISPATCH))
+    def test_unfolds_per_conv(self, case, monkeypatch):
+        x_shape, k_shape, stride, pad, row_shift = self.DISPATCH[case]
+        rng = np.random.default_rng(40)
+        x = rng.standard_normal(x_shape).astype(np.float32)
+        kern = rng.standard_normal(k_shape).astype(np.float32)
+        out = kernels.conv2d(x, kern, stride, pad)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        extents = count_unfolds(monkeypatch)
+        kernels.conv2d(x, kern, stride, pad)
+        forward = {name: list(seen) for name, seen in extents.items()}
+        for seen in extents.values():
+            seen.clear()
+        kernels.conv2d_backward(g, x, kern, stride, pad, True)
+        one = {"im2col": [], "row_unfold": [2]} if row_shift else {"im2col": [2], "row_unfold": []}
+        assert forward == one and extents == one  # one chunk, one unfold each way
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_ragged_chunks_match_one_chunk(self, k, monkeypatch):
+        rng = np.random.default_rng(41 + k)
+        n, c, h = 7, 3, 12
+        p = (k - 1) // 2
+        x = rng.standard_normal((n, c, h, h))
+        kern = rng.standard_normal((c, c, k, k))  # o == c: one unfold size both ways
+        g = rng.standard_normal(x.shape)
+
+        def run():
+            return [kernels.conv2d(x, kern, 1, p), *kernels.conv2d_backward(g, x, kern, 1, p, True)]
+
+        extents = count_unfolds(monkeypatch)
+        whole = run()
+        assert extents == {"im2col": [], "row_unfold": [n, n]}
+        extents["row_unfold"].clear()
+        # room for two and a half images' unfolds: chunks of 2, 2, 2 and 1
+        monkeypatch.setattr(kernels, "PATCH_BYTES", 5 * c * k * (h + p) * (h + p) * x.itemsize // 2)
+        chunked = run()
+        assert extents["row_unfold"] == [2, 2, 2, 1] * 2
+        for a, b in zip(chunked, whole):
+            assert a.flags.c_contiguous and a.flags.owndata
+            assert rel_err(a, b) < 1e-12
+
+    def test_float32_reruns_are_bytewise_identical(self):
+        rng = np.random.default_rng(44)
+        x = rng.standard_normal((16, 16, 32, 32)).astype(np.float32)
+        kern = rng.standard_normal((16, 16, 3, 3)).astype(np.float32)
+        g = rng.standard_normal(x.shape).astype(np.float32)
+
+        def run():
+            return [kernels.conv2d(x, kern, 1, 1).tobytes(),
+                    *(r.tobytes() for r in kernels.conv2d_backward(g, x, kern, 1, 1, True))]
+
+        assert run() == run()
+
+    @pytest.mark.parametrize("stride,cutoff", [(2, None), (1, None), (1, 0)],
+                             ids=["strided", "per-image", "row-shift"])
+    def test_backward_rejects_grad_of_another_shape(self, stride, cutoff, monkeypatch):
+        if cutoff is not None:
+            monkeypatch.setattr(kernels, "ROW_SHIFT_MIN_PIXELS", cutoff)
+        x = np.zeros((2, 3, 6, 6))
+        kern = np.zeros((4, 3, 3, 3))
+        side = kernels.conv_out_extent(6, 3, stride, 1)
+        wrong = np.zeros((2, 4, side, side + 1))
+        with pytest.raises(ShapeError) as err:
+            kernels.conv2d_backward(wrong, x, kern, stride, 1, True)
+        assert str(wrong.shape) in str(err.value) and str((2, 4, side, side)) in str(err.value)
 
 
 class TestElementwise:
