@@ -175,6 +175,8 @@ def collapse_check(a: np.ndarray, b: np.ndarray, interior=None, probes: int = 10
     into the composition), or the string ``"relu"`` (composed as if absent,
     so the reported deviation exposes the non-collapse).
     """
+    if probes < 1:
+        raise ValueError(f"collapse_check probes of {probes}: it must be at least 1")
     for kernel in (a, b):
         if kernel.ndim != 4:
             raise ShapeError(f"conv kernel must be OIHW rank 4, got shape {kernel.shape}")

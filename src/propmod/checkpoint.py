@@ -16,6 +16,7 @@ again yields a byte-identical file.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -65,27 +66,32 @@ def load_tensors(path) -> dict:
     version, count = struct.unpack("<II", blob[4:12])
     if version != VERSION:
         raise CheckpointError(f"{path}: version {version} unsupported (expected {VERSION})")
+    body = memoryview(blob)[:-4]  # no read below passes the start of the CRC
     offset = 12
     manifest = []
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        name = blob[offset:offset + name_len].decode()
-        offset += name_len
-        code, ndim = struct.unpack_from("<BB", blob, offset)
-        offset += 2
-        shape = struct.unpack_from(f"<{ndim}I", blob, offset)
+    for i in range(count):
+        try:
+            (name_len,) = struct.unpack_from("<H", body, offset)
+            name, code, ndim = struct.unpack_from(f"<{name_len}sBB", body, offset + 2)
+            offset += 4 + name_len
+            shape = struct.unpack_from(f"<{ndim}I", body, offset)
+            name = name.decode()
+        except (struct.error, UnicodeDecodeError):
+            raise CheckpointError(f"{path}: manifest entry {i} of {count} runs past the "
+                                  "payloads or has a name that is not UTF-8") from None
         offset += 4 * ndim
         if code not in _CODE_DTYPES:
             raise CheckpointError(f"{path}: tensor {name!r} has unknown dtype code {code}")
         manifest.append((name, _CODE_DTYPES[code], shape))
     tensors = {}
     for name, dtype, shape in manifest:
-        n_bytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if shape else dtype.itemsize
-        buf = blob[offset:offset + n_bytes]
+        n_bytes = math.prod(shape) * dtype.itemsize
+        if offset + n_bytes > len(body):
+            raise CheckpointError(f"{path}: tensor {name!r} of shape {shape} needs {n_bytes} "
+                                  f"payload bytes, but {len(body) - offset} remain")
+        tensors[name] = np.frombuffer(body[offset:offset + n_bytes], dtype).reshape(shape).copy()
         offset += n_bytes
-        tensors[name] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
-    if offset != len(blob) - 4:
+    if offset != len(body):
         raise CheckpointError(f"{path}: payload length mismatch at byte {offset}")
     return tensors
 

@@ -358,6 +358,8 @@ def cmd_sweep(args) -> int:
     if not cells:
         raise ValueError("sweep spec has no cells")
     repeats = int(spec.get("repeats", 5))
+    if repeats < 1:
+        raise ValueError(f"sweep spec repeats is {repeats}: it must be at least 1")
     base = {k: v for k, v in spec.items() if k not in ("cells", "repeats")}
     for i, cell in enumerate(cells):
         cell.setdefault("name", f"cell{i}")

@@ -28,17 +28,17 @@ own, so on this lowering chunking changes no output byte; kernel gradients
 add image by image, in order, as the unchunked ``sum(axis=0)`` over images
 did.
 
-Both lowerings run over the batch a chunk of images at a time, as many as
-keep the chunk's patch matrices within ``PATCH_BYTES``, so no patch matrix
-of the whole batch is ever built.
+Each lowering has one chunk loop, in ``_lowered``: it runs over the batch a
+chunk of images at a time, as many as keep the chunk's patch matrices within
+``PATCH_BYTES``, so no patch matrix of the whole batch is ever built.
 
-``conv2d_backward`` unfolds the output gradient of a stride-1 conv once and
-takes both gradients from it: the input gradient is a forward convolution of
-that gradient with the flipped, transposed kernel, and the kernel gradient
-is the input times the same matrix, so ``x`` is not unfolded again. Only
-strided convs scatter their patch gradient back with ``col2im`` and unfold
-``x`` for their kernel gradient. ``conv2d_naive`` keeps the six-deep
-reference loop around as the test oracle for both lowerings.
+A stride-1 ``conv2d_backward`` runs the output gradient ``g`` through that
+loop: its input gradient is the forward conv of ``g`` by the kernel flipped
+in space and transposed in channels, at padding k-1-p, and its kernel
+gradient is read off each chunk's unfold of ``g``, so ``x`` is not unfolded
+again. Only strided convs scatter their patch gradient back with ``col2im``
+and unfold ``x`` for their kernel gradient. ``conv2d_naive`` keeps the
+six-deep reference loop around as the test oracle for both lowerings.
 """
 
 from __future__ import annotations
@@ -181,7 +181,7 @@ def row_unfold(x: np.ndarray, k: int) -> np.ndarray:
     return _shifted_rows(_on_grid(x, p, p * (w + p) + p, length + k - 1), k, 1, length)
 
 
-def _row_shift_products(rows: np.ndarray, cols: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
+def _row_shift_products(rows: np.ndarray, cols: np.ndarray, h: int, w: int) -> np.ndarray:
     """(O, N, H, W) view of the conv of ``cols``, a ``row_unfold``, by ``rows``
     (k, O, C*k), the kernel's rows.
 
@@ -189,81 +189,63 @@ def _row_shift_products(rows: np.ndarray, cols: np.ndarray, n: int, h: int, w: i
     product, read i grid rows on, adds into the output in order of i."""
     k, o, _ = rows.shape
     p = (k - 1) // 2
-    span = n * (h + p) * (w + p)
+    span = cols.shape[1] - (k - 1) * (w + p)  # N*(H+p)*(W+p) slots
     products = (rows.reshape(k * o, -1) @ cols).reshape(k, o, -1)
     wide = products[0, :, :span] + products[1, :, w + p:w + p + span]
     for i in range(2, k):
         wide += products[i, :, i * (w + p):i * (w + p) + span]
-    return wide.reshape(o, n, h + p, w + p)[:, :, :h, :w]
+    return wide.reshape(o, -1, h + p, w + p)[:, :, :h, :w]
 
 
-def _row_shift_conv(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    n, c, h, w = x.shape
-    o, _, k, _ = kernel.shape
-    p = (k - 1) // 2
-    rows = kernel.transpose(2, 0, 1, 3).reshape(k, o, c * k)
-    out = np.empty((n, o, h, w), dtype=x.dtype)
-    for s in _chunks(n, c * k * (h + p) * (w + p) * x.itemsize):
-        xs = x[s]
-        out[s] = _row_shift_products(rows, row_unfold(xs, k), len(xs), h, w).transpose(1, 0, 2, 3)
+def _lowered(x: np.ndarray, kernel: np.ndarray, stride: int, padding: int,
+             on_chunk=None, output: bool = True):
+    """Conv of ``x`` by ``kernel`` in the one chunk loop of its lowering, which hands
+    each chunk's patch matrix to ``on_chunk(s, cols)`` with the chunk's slice
+    ``s``. Returns the output, or None when ``output`` is false."""
+    n, _, h, w = x.shape
+    o, c, kh, kw = kernel.shape
+    if _row_shifts(x.shape, kernel.shape, stride, padding):
+        rows = kernel.transpose(2, 0, 1, 3).reshape(kh, o, c * kh)
+        out = np.empty((n, o, h, w), dtype=x.dtype) if output else None
+        for s in _chunks(n, c * kh * (h + padding) * (w + padding) * x.itemsize):
+            cols = row_unfold(x[s], kh)
+            if on_chunk is not None:
+                on_chunk(s, cols)
+            if output:
+                # each buffer freed once read: the unfold before the output copy,
+                # the product before the next chunk's unfold is built
+                wide = _row_shift_products(rows, cols, h, w)
+                del cols
+                out[s] = wide.transpose(1, 0, 2, 3)
+                del wide
+        return out
+    oh = conv_out_extent(h, kh, stride, padding)
+    ow = conv_out_extent(w, kw, stride, padding)
+    weights = kernel.reshape(o, c * kh * kw)
+    out = None
+    for s in _chunks(n, c * kh * kw * oh * ow * x.itemsize):
+        cols = im2col(x[s], kh, kw, stride, padding)
+        if output:
+            if out is None:
+                # allocated after the first unfold, by when its padded input is freed
+                out = np.empty((n, o, oh, ow), dtype=x.dtype)
+            np.matmul(weights, cols, out=out[s].reshape(len(cols), o, oh * ow))
+        if on_chunk is not None:
+            on_chunk(s, cols)
     return out
-
-
-def _row_shift_backward(grad_out: np.ndarray, x: np.ndarray, kernel: np.ndarray,
-                        input_grad: bool) -> tuple:
-    """``conv2d_backward`` of a row-shift conv, from one ``row_unfold`` of
-    ``grad_out`` per chunk.
-
-    ``dx`` is the forward of ``grad_out`` with the kernel flipped in space and
-    transposed in channels. For the kernel gradient, ``x`` is laid on the
-    output slots k times: in row i of ``xrows`` it sits k-1-i grid rows on, so
-    against the unfold's row (o, j) each pixel of ``x`` meets the gradient at
-    tap (k-1-i, j), and the product is the kernel gradient at tap (i, k-1-j).
-    """
-    n, c, h, w = x.shape
-    o, _, k, _ = kernel.shape
-    p = (k - 1) // 2
-    pitch, width = h + p, w + p
-    flipped = kernel[:, :, ::-1, ::-1].transpose(2, 1, 0, 3).reshape(k, c, o * k)
-    dx = np.empty(x.shape, dtype=x.dtype) if input_grad else None
-    grad = np.zeros((c * k, o * k), dtype=x.dtype)
-    for s in _chunks(n, o * k * pitch * width * x.itemsize):
-        g = grad_out[s]
-        gcols = row_unfold(g, k)
-        if input_grad:
-            dx[s] = _row_shift_products(flipped, gcols, len(g), h, w).transpose(1, 0, 2, 3)
-        length = gcols.shape[1]
-        xrows = _shifted_rows(_on_grid(x[s], p, (k - 1) * width, length + (k - 1) * width),
-                              k, width, length)
-        grad += xrows @ gcols.T
-    dkernel = grad.reshape(c, k, o, k)[:, :, :, ::-1].transpose(2, 0, 1, 3)
-    return dx, dkernel.copy()
 
 
 def conv2d(x: np.ndarray, kernel: np.ndarray, stride: int = 1, padding: int = 0) -> np.ndarray:
     """Cross-correlation with zero padding, by the row-shift lowering or im2col + matmul."""
     _check_conv_shapes(x, kernel)
-    n, _, h, w = x.shape
-    o, c, kh, kw = kernel.shape
-    oh = conv_out_extent(h, kh, stride, padding)
-    ow = conv_out_extent(w, kw, stride, padding)
-    if oh < 1 or ow < 1:
+    _, _, h, w = x.shape
+    _, _, kh, kw = kernel.shape
+    if conv_out_extent(h, kh, stride, padding) < 1 or conv_out_extent(w, kw, stride, padding) < 1:
         raise ShapeError(
             f"conv2d output collapses: input {x.shape}, kernel {kernel.shape}, "
             f"stride {stride}, padding {padding}"
         )
-    if _row_shifts(x.shape, kernel.shape, stride, padding):
-        return _row_shift_conv(x, kernel)
-    weights = kernel.reshape(o, c * kh * kw)
-    out = None
-    for s in _chunks(n, c * kh * kw * oh * ow * x.itemsize):
-        cols = im2col(x[s], kh, kw, stride, padding)
-        if out is None:
-            # allocated once the first patch matrix exists, by when the padded
-            # copy of the input it was unfolded from has been freed
-            out = np.empty((n, o, oh, ow), dtype=x.dtype)
-        np.matmul(weights, cols, out=out[s].reshape(len(cols), o, oh * ow))
-    return out
+    return _lowered(x, kernel, stride, padding)
 
 
 def conv2d_input_grad(grad_out: np.ndarray, kernel: np.ndarray, x_shape: tuple,
@@ -298,16 +280,13 @@ def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, kernel: np.ndarray,
                     stride: int, padding: int, input_grad: bool) -> tuple:
     """(dx or None, dkernel) of ``conv2d(x, kernel, stride, padding)``.
 
-    A stride-1 conv unfolds ``grad_out`` once and takes both gradients from
-    that matrix, so ``x`` is not unfolded again. Row (o, a, b) of image n's
-    matrix, at input pixel (y, z), holds grad_out[n, o, y+a-q, z+b-q] with
-    q = k-1-p, so ``x @ gcols^T`` summed over images is the kernel gradient
-    flipped in space and transposed in channels. The kernel gradient is
-    computed the same way whether or not ``dx`` is wanted. A conv that takes
-    the row-shift lowering in ``conv2d`` takes it here too. Other convs call
-    ``conv2d_input_grad`` and ``conv2d_kernel_grad``. Both results are
-    C-contiguous arrays of their own. A ``grad_out`` of another shape than
-    the forward's output raises ``ShapeError``.
+    A stride-1 conv unfolds ``grad_out`` once, as the forward conv that is
+    its ``dx``, and takes the kernel gradient from the same unfold, computed
+    the same way whether or not ``dx`` is wanted. It takes the row-shift
+    lowering when ``conv2d`` does. Other convs call ``conv2d_input_grad`` and
+    ``conv2d_kernel_grad``. Both results are C-contiguous arrays of their
+    own. A ``grad_out`` of another shape than the forward's output raises
+    ``ShapeError``.
     """
     n, _, h, w = x.shape
     o, c, k, kw = kernel.shape
@@ -317,8 +296,6 @@ def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, kernel: np.ndarray,
             f"conv2d_backward grad_out shape {grad_out.shape} does not match "
             f"the conv's output shape {out_shape}"
         )
-    if _row_shifts(x.shape, kernel.shape, stride, padding):
-        return _row_shift_backward(grad_out, x, kernel, input_grad)
     # The adjoint of a stride-1 correlation is a full correlation of grad_out
     # with the kernel flipped in space and transposed in channels, at padding
     # k-1-p. At padding >= k that would be negative, so those convs scatter
@@ -326,18 +303,30 @@ def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, kernel: np.ndarray,
     if not (stride == 1 and k == kw and padding < k):
         dx = conv2d_input_grad(grad_out, kernel, x.shape, stride, padding) if input_grad else None
         return dx, conv2d_kernel_grad(grad_out, x, kernel.shape, stride, padding)
-    # reshaping the flipped view copies it into a contiguous (C, O*K*K) matrix
-    flipped = kernel.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].reshape(c, o * k * k)
-    dx = None
-    flipped_grad = np.zeros((c, o * k * k), dtype=x.dtype)
-    for s in _chunks(n, o * k * k * h * w * x.itemsize):
-        gcols = im2col(grad_out[s], k, k, 1, k - 1 - padding)
-        if input_grad:
-            if dx is None:  # allocated after the first patch matrix, as in conv2d
-                dx = np.empty(x.shape, dtype=x.dtype)
-            np.matmul(flipped, gcols, out=dx[s].reshape(len(gcols), c, h * w))
-        _add_products(flipped_grad, x[s].reshape(len(gcols), c, h * w), gcols)
-    dkernel = flipped_grad.reshape(c, o, k, k).transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+    if _row_shifts(x.shape, kernel.shape, stride, padding):
+        # Row i of ``xrows`` lays ``x`` on the output slots k-1-i grid rows on, so it
+        # meets unfold row (o, j) at tap (k-1-i, j): kernel gradient tap (i, k-1-j).
+        width = w + padding
+        grad = np.zeros((c * k, o * k), dtype=x.dtype)
+
+        def add_kernel_grad(s, gcols):
+            length = gcols.shape[1]
+            xrows = _shifted_rows(_on_grid(x[s], padding, (k - 1) * width, length + (k - 1) * width),
+                                  k, width, length)
+            np.add(grad, xrows @ gcols.T, out=grad)
+
+        dkernel = grad.reshape(c, k, o, k)[:, :, :, ::-1].transpose(2, 0, 1, 3)
+    else:
+        # Row (o, a, b) of image n's unfold holds g[n, o, y+a-q, z+b-q] at pixel
+        # (y, z), q = k-1-p: ``x @ gcols^T`` over images is the flipped dkernel.
+        grad = np.zeros((c, o * k * k), dtype=x.dtype)
+
+        def add_kernel_grad(s, gcols):
+            _add_products(grad, x[s].reshape(len(gcols), c, h * w), gcols)
+
+        dkernel = grad.reshape(c, o, k, k).transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+    flipped = kernel.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+    dx = _lowered(grad_out, flipped, 1, k - 1 - padding, add_kernel_grad, input_grad)
     return dx, dkernel.copy()
 
 

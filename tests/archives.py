@@ -1,7 +1,27 @@
 """CIFAR archive writers in the exact binary layouts, shared by the fixtures in
-``conftest.py`` and by the acceptance suite."""
+``conftest.py`` and by the acceptance suite, and a writer of malformed
+checkpoints for the loader's tests."""
+
+import struct
+import zlib
 
 import numpy as np
+
+from propmod.checkpoint import save_tensors
+
+# byte offsets in a checkpoint holding the one tensor "w" of rank 1
+CKPT_COUNT_AT, CKPT_DIM_AT = 8, 17
+
+
+def write_overrunning_checkpoint(path, at: int, value: int):
+    """A CRC-valid checkpoint of one float32 tensor "w" of shape (1,), with the
+    u32 at byte ``at`` set to ``value``: its count or its one dimension, so
+    the manifest claims more than the file holds."""
+    save_tensors(path, {"w": np.ones(1, dtype=np.float32)})
+    raw = bytearray(path.read_bytes()[:-4])
+    struct.pack_into("<I", raw, at, value)
+    path.write_bytes(bytes(raw) + struct.pack("<I", zlib.crc32(raw)))
+    return path
 
 
 def write_cifar10_archives(root, train_per_file=40, test_count=20, seed=0):

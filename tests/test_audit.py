@@ -137,6 +137,13 @@ class TestCollapse:
                 collapse_check(a, b)
             assert "rank 4" in str(err.value)
 
+    @pytest.mark.parametrize("probes", [0, -1])
+    def test_no_probes_rejected(self, probes):
+        with pytest.raises(ValueError) as err:
+            collapse_check(random_kernel((3, 2, 3, 3), 1), random_kernel((4, 3, 3, 3), 2),
+                           probes=probes)
+        assert f"probes of {probes}" in str(err.value)
+
     def test_channel_chain_checked(self):
         with pytest.raises(ValueError):
             collapse_check(random_kernel((3, 2, 3, 3), 1), random_kernel((4, 5, 3, 3), 2))

@@ -12,6 +12,8 @@ from propmod.autograd import Node, Tape, seeded_rng
 from propmod.blocks import Block, build_preact_building, make_block
 from propmod.layers import softmax_cross_entropy
 
+from call_records import record_calls
+
 
 def make_store(values, precision="double"):
     store = ParamStore(precision)
@@ -299,10 +301,10 @@ class TestRowShiftGradcheck:
                              ids=["plain-8", "bottleneck-11"])
     def test_gradcheck_passes(self, family, depth, kw, monkeypatch):
         monkeypatch.setattr(kernels, "ROW_SHIFT_MIN_PIXELS", 0)
-        calls = count_calls(monkeypatch, kernels, "im2col", "row_unfold")
+        calls = record_calls(monkeypatch, kernels, "im2col", "row_unfold")
         model, x, labels = oracle_case(family, depth, kw)
         result = gradcheck(model.loss_builder(x, labels), model.store, eps=1e-5, seed=0)
-        assert calls["row_unfold"] > 0 and calls["im2col"] > 0  # 1x1 and strided convs keep im2col
+        assert calls["row_unfold"] and calls["im2col"]  # 1x1 and strided convs keep im2col
         assert result.max_rel_err < 1e-6, result.max_rel_err
 
 
@@ -394,14 +396,9 @@ class TestResumedGradcheck:
         assert not result.passed(1e-6), result.max_rel_err
 
 
-def count_calls(monkeypatch, module, *names):
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        def counted(*args, _name=name, _original=getattr(module, name)):
-            calls[_name] += 1
-            return _original(*args)
-        monkeypatch.setattr(module, name, counted)
-    return calls
+def wants_input_grad(grad_out, x, kernel, stride, padding, input_grad):
+    """The flag of a ``conv2d_backward`` call that says whether it computes ``dx``."""
+    return input_grad
 
 
 def training_batch(family):
@@ -409,34 +406,23 @@ def training_batch(family):
     return rng.standard_normal((2, 3, 8, 8)).astype(np.float32), rng.integers(0, 10, size=2)
 
 
-def count_backward_calls(monkeypatch):
-    """conv2d_backward calls, counted by their input_grad flag."""
-    calls = {True: 0, False: 0}
-
-    def counted(*args, _original=kernels.conv2d_backward):
-        calls[args[5]] += 1
-        return _original(*args)
-
-    monkeypatch.setattr(kernels, "conv2d_backward", counted)
-    return calls
-
-
 class TestConvBackwardWork:
     """Stride-1 backward passes unfold the output gradient once; the scatter is left to strided convs."""
 
     @pytest.mark.parametrize("family", ["plain", "resnet-preact"])
     def test_only_strided_convs_scatter(self, family, monkeypatch):
-        calls = count_calls(monkeypatch, kernels, "col2im")
-        backward_calls = count_backward_calls(monkeypatch)
+        calls = record_calls(monkeypatch, kernels, "col2im")
+        input_grads = record_calls(monkeypatch, kernels, "conv2d_backward",
+                                   read=wants_input_grad)["conv2d_backward"]
         model = build_network(NetworkConfig(family=family, depth=8, seed=1))
         loss, _, tape = model.loss(*training_batch(family))
         convs = [n for n in tape.nodes if n.kind == "conv2d"]
         strided = [n for n in convs if n.shape[2] < n.inputs[0].shape[2]]
         tape.backward(loss)
-        assert strided and calls["col2im"] == len(strided)
+        assert strided and len(calls["col2im"]) == len(strided)
         # every conv but the stem, whose input is the image, computes its input gradient
         assert convs[0].inputs[0].kind == "constant"
-        assert backward_calls == {True: len(convs) - 1, False: 1}
+        assert (input_grads.count(True), input_grads.count(False)) == (len(convs) - 1, 1)
 
     @pytest.mark.parametrize("family,depth", [("plain", 8), ("resnet-preact", 8),
                                               ("resnet-preact-bottleneck", 11)])
@@ -448,14 +434,9 @@ class TestConvBackwardWork:
         model = build_network(NetworkConfig(family=family, depth=depth, seed=1))
         x, labels = training_batch(family)
         loss, _, tape = model.loss(x, labels)
-        unfolded = []  # the batch extent of each unfold
-
-        def counted(a, *args, _original=kernels.im2col):
-            unfolded.append(len(a))
-            return _original(a, *args)
-
-        monkeypatch.setattr(kernels, "im2col", counted)
+        calls = record_calls(monkeypatch, kernels, "im2col")
         tape.backward(loss)
+        unfolded = calls["im2col"]  # the batch extent of each unfold
         assert sum(unfolded) == len(x) * sum(n.kind == "conv2d" for n in tape.nodes)
         assert set(unfolded) == {patch_bytes or len(x)}
 
@@ -470,10 +451,10 @@ class TestConvBackwardWork:
         skipped = param_grads()
         # record the image under another kind, so the stem conv computes its input gradient
         monkeypatch.setattr(Tape, "constant", lambda self, data: self.record("image", (), data, None))
-        calls = count_backward_calls(monkeypatch)
+        calls = record_calls(monkeypatch, kernels, "conv2d_backward", read=wants_input_grad)
         forced = param_grads()
         convs = sum(n.kind == "conv2d" for n in model.loss(x, labels)[2].nodes)
-        assert calls == {True: convs, False: 0}
+        assert calls["conv2d_backward"] == [True] * convs
         assert forced == skipped
 
 

@@ -14,6 +14,8 @@ from propmod.cli import _cell_args, _run_id, _train_configs, build_parser, main
 from propmod.data import load_or_compute_norm_stats
 from propmod.networks import NetworkConfig, build_network, format_manifest
 
+from archives import CKPT_COUNT_AT, CKPT_DIM_AT, write_overrunning_checkpoint
+
 GOLDEN = Path(__file__).parent / "golden"
 DEMOS = Path(__file__).parent.parent / "demos"
 # the directory holding the imported propmod, so a child process runs the code
@@ -231,6 +233,12 @@ class TestCollapseCommand:
         out = capsys.readouterr().out
         assert "NOT collapse" in out and "PASS" in out
 
+    @pytest.mark.parametrize("interior", ["none", "bn"])
+    def test_zero_probes_is_usage_error(self, interior, capsys):
+        assert main(["collapse-check", "--interior", interior, "--probes", "0"]) == 1
+        captured = capsys.readouterr()
+        assert "probes of 0" in captured.err and "PASS" not in captured.out
+
 
 class TestSweepCommand:
     def write_spec(self, tmp_path, cells, repeats=2):
@@ -288,6 +296,13 @@ class TestSweepCommand:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"cells": []}))
         assert main(["sweep", str(path)]) == 1
+
+    def test_zero_repeats_exits_one_before_any_run(self, tmp_path, capsys):
+        spec = self.write_spec(tmp_path, [{"name": "one", "arch": "plain", "depth": 8}],
+                               repeats=0)
+        assert main(["sweep", str(spec), "--out", str(tmp_path / "out")]) == 1
+        assert "repeats is 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_partial_failure_keeps_completed(self, tmp_path, capsys):
         spec = self.write_spec(tmp_path, [
@@ -627,6 +642,18 @@ class TestCommandChecks:
         assert main([*command, str(ckpt)]) == 3
         err = capsys.readouterr().err
         assert str(ckpt) in err and "'meta.epoch'" in err
+
+    @pytest.mark.parametrize("at,value,named", [
+        (CKPT_DIM_AT, 1000, "tensor 'w'"),
+        (CKPT_COUNT_AT, 2, "manifest entry 1 of 2"),
+    ], ids=["shape", "count"])
+    def test_manifest_past_the_payloads_exits_three_naming_it(self, at, value, named,
+                                                             tmp_path, capsys):
+        ckpt = write_overrunning_checkpoint(tmp_path / "ckpt.bin", at, value)
+        assert main(["eval", *PLAIN8, "--dataset", "synthetic", "--synthetic-count", "8",
+                     "--ckpt", str(ckpt)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint error: ") and str(ckpt) in err and named in err
 
     @pytest.mark.parametrize("cache", [
         "",

@@ -9,6 +9,8 @@ import pytest
 from propmod import PrecisionError, ShapeError, Tensor
 from propmod import kernels
 
+from call_records import record_calls
+
 
 def rel_err(a, b):
     return np.abs(a - b).max() / max(np.abs(b).max(), 1e-30)
@@ -287,16 +289,13 @@ class TestChunkedLowering:
             "conv2d_input_grad": lambda: [kernels.conv2d_input_grad(g, kern, x.shape, stride, pad)],
             "conv2d_kernel_grad": lambda: [kernels.conv2d_kernel_grad(g, x, kern.shape, stride, pad)],
         }
-        extents = []  # the batch extent of each unfold and scatter
-        for name in ("im2col", "col2im"):
-            def counted(a, *args, _original=getattr(kernels, name)):
-                extents.append(len(a))
-                return _original(a, *args)
-            monkeypatch.setattr(kernels, name, counted)
+        extents = record_calls(monkeypatch, kernels, "im2col", "col2im")
 
         def run(name):
-            extents.clear()
-            return [r.tobytes() for r in calls[name]()], list(extents)
+            for seen in extents.values():
+                seen.clear()
+            results = [r.tobytes() for r in calls[name]()]
+            return results, extents["im2col"] + extents["col2im"]
 
         whole = {name: run(name) for name in calls}
         # room for two and a half images' patch matrices: chunks of 2, 2, 2 and 1
@@ -332,15 +331,36 @@ class TestChunkedLowering:
         assert peak < 4 * x.nbytes, peak / x.nbytes
 
 
-def count_unfolds(monkeypatch):
-    """The batch extent of each ``im2col`` and ``row_unfold`` call, by name."""
-    extents = {"im2col": [], "row_unfold": []}
-    for name, seen in extents.items():
-        def counted(a, *args, _seen=seen, _original=getattr(kernels, name)):
-            _seen.append(len(a))
-            return _original(a, *args)
-        monkeypatch.setattr(kernels, name, counted)
-    return extents
+class TestInputGradIsForwardConv:
+    """A stride-1 conv's input gradient is the forward conv of ``g`` by the kernel
+    flipped in space and transposed in channels, at padding k-1-p, on either lowering."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("ragged", [False, True], ids=["one-chunk", "ragged"])
+    @pytest.mark.parametrize("cutoff", [None, 0], ids=["default-cutoff", "cutoff-0"])
+    @pytest.mark.parametrize("k,pad", [(3, 1), (5, 2), (1, 0), (3, 0), (3, 2)])
+    def test_bytes_match(self, k, pad, cutoff, ragged, dtype, monkeypatch):
+        rng = np.random.default_rng(50 + 3 * k + pad)
+        n, c, o, h, w = 7, 3, 4, 9, 6  # 378 pixels: the default cutoff keeps im2col
+        x = rng.standard_normal((n, c, h, w)).astype(dtype)
+        kern = rng.standard_normal((o, c, k, k)).astype(dtype)
+        g = rng.standard_normal((n, o, h + 2 * pad - k + 1, w + 2 * pad - k + 1)).astype(dtype)
+        row_shift = cutoff == 0 and k == 2 * pad + 1 > 1
+        if cutoff is not None:
+            monkeypatch.setattr(kernels, "ROW_SHIFT_MIN_PIXELS", cutoff)
+        if ragged:
+            # room for two and a half images' unfolds of g: chunks of 2, 2, 2 and 1
+            image = o * k * (h + pad) * (w + pad) if row_shift else o * k * k * h * w
+            monkeypatch.setattr(kernels, "PATCH_BYTES", 5 * image * x.itemsize // 2)
+        extents = record_calls(monkeypatch, kernels, "im2col", "row_unfold")
+        dx, _ = kernels.conv2d_backward(g, x, kern, 1, pad, True)
+        forward = kernels.conv2d(g, kern.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1], 1, k - 1 - pad)
+        assert dx.dtype == forward.dtype == dtype
+        assert dx.tobytes() == forward.tobytes()
+        chunks = [2, 2, 2, 1] if ragged else [n]
+        unfolds = {"im2col": [], "row_unfold": chunks * 2} if row_shift else \
+            {"im2col": chunks * 2, "row_unfold": []}
+        assert extents == unfolds  # the same chunks both ways
 
 
 class TestRowShiftLowering:
@@ -365,7 +385,7 @@ class TestRowShiftLowering:
         kern = rng.standard_normal(k_shape).astype(np.float32)
         out = kernels.conv2d(x, kern, stride, pad)
         g = rng.standard_normal(out.shape).astype(np.float32)
-        extents = count_unfolds(monkeypatch)
+        extents = record_calls(monkeypatch, kernels, "im2col", "row_unfold")
         kernels.conv2d(x, kern, stride, pad)
         forward = {name: list(seen) for name, seen in extents.items()}
         for seen in extents.values():
@@ -386,7 +406,7 @@ class TestRowShiftLowering:
         def run():
             return [kernels.conv2d(x, kern, 1, p), *kernels.conv2d_backward(g, x, kern, 1, p, True)]
 
-        extents = count_unfolds(monkeypatch)
+        extents = record_calls(monkeypatch, kernels, "im2col", "row_unfold")
         whole = run()
         assert extents == {"im2col": [], "row_unfold": [n, n]}
         extents["row_unfold"].clear()

@@ -13,6 +13,8 @@ from propmod.checkpoint import (load_tensors, load_training_state, save_tensors,
                                 save_training_state)
 from propmod.train import SGD
 
+from archives import CKPT_COUNT_AT, CKPT_DIM_AT, write_overrunning_checkpoint
+
 
 def scalar_nesterov_simulator(grads, lr, momentum, wd, w0=1.0):
     """Independent reference for the update recurrence, scalars only."""
@@ -260,6 +262,16 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError) as err:
             load_tensors(p)
         assert "CRC32" in str(err.value)
+
+    @pytest.mark.parametrize("at,value,named", [
+        (CKPT_DIM_AT, 1000, "tensor 'w' of shape (1000,) needs 4000 payload bytes, but 4 remain"),
+        (CKPT_COUNT_AT, 2, "manifest entry 1 of 2 runs past the payloads"),
+    ], ids=["shape", "count"])
+    def test_manifest_past_the_payloads_names_tensor(self, at, value, named, tmp_path):
+        p = write_overrunning_checkpoint(tmp_path / "x.bin", at, value)
+        with pytest.raises(CheckpointError) as err:
+            load_tensors(p)
+        assert str(p) in str(err.value) and named in str(err.value)
 
     def test_wrong_model_shape_names_tensor(self, tmp_path):
         model8 = tiny_model()
