@@ -3,12 +3,15 @@
 The binary layouts are fixed: CIFAR-10 records are 3073 bytes (label byte
 plus 3x1024 channel-planar pixels), CIFAR-100 records are 3074 bytes
 (coarse label, fine label, pixels); the fine label is what training uses.
+Archives are read one block of at most 10,000 records at a time; each block's
+labels are checked, and only the records a subset keeps are copied out.
 Pixels scale to [0, 1] and are then channel-normalized with constants
 computed once from the training split and cached beside the archives,
-since no canonical values ship with the data. The cache is renamed into
-place whole, so concurrent runs never read a partial one, and a cache that
-cannot be read as three means and three stds raises :class:`DataError`
-naming it.
+since no canonical values ship with the data. The constants come from exact
+per-channel counts of the 256 pixel values, so computing them builds no
+array of the split. The cache is renamed into place whole, so concurrent
+runs never read a partial one, and a cache that cannot be read as three
+means and three stds raises :class:`DataError` naming it.
 
 Everything downstream is a pure function of (seed, epoch, index): batch
 composition and augmentation never depend on timing.
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,7 +38,13 @@ CIFAR100_TRAIN_FILES = ["train.bin"]
 CIFAR100_TEST_FILES = ["test.bin"]
 
 _SUBDIRS = {"cifar10": "cifar-10-batches-bin", "cifar100": "cifar-100-binary"}
-_RECORD_LEN = {"cifar10": 3073, "cifar100": 3074}  # label byte(s) + pixels
+# each record's label bytes and their bounds, then 3072 pixel bytes; the last
+# label byte is the one training uses
+_LABEL_BYTES = {"cifar10": [("label", 10)],
+                "cifar100": [("coarse label", 20), ("fine label", 100)]}
+_RECORD_LEN = {which: len(labels) + 3072 for which, labels in _LABEL_BYTES.items()}
+_BLOCK_RECORDS = 10_000  # records read at once: a CIFAR-10 archive, a fifth of CIFAR-100's train
+_COUNT_ROWS = 128  # records per np.bincount call, which widens its input to intp (8 bytes a pixel)
 
 
 class DataError(ValueError):
@@ -84,60 +94,86 @@ def _archive_paths(root: Path, which: str, split: str) -> list:
     return paths
 
 
-def _read_records(path: Path, record_len: int):
-    raw = np.fromfile(path, dtype=np.uint8)
-    if raw.size == 0 or raw.size % record_len != 0:
-        good = (raw.size // record_len) * record_len
+def _record_count(path: Path, record_len: int) -> int:
+    """Records in one archive, read from its size: it must hold at least one
+    record and no partial one."""
+    size = path.stat().st_size
+    if size == 0:
+        raise DataError(f"{path}: empty archive, it holds no {record_len}-byte records")
+    if size % record_len != 0:
+        good = (size // record_len) * record_len
         raise DataError(
-            f"{path}: truncated archive, size {raw.size} is not a multiple of "
+            f"{path}: truncated archive, size {size} is not a multiple of "
             f"{record_len}-byte records (truncation at byte offset {good})"
         )
-    return raw.reshape(-1, record_len)
+    return size // record_len
 
 
-def _decode(records: np.ndarray, which: str):
-    """Validated (uint8 pixel rows, int64 labels) of one archive's records."""
-    if which == "cifar10":
-        labels = records[:, 0].astype(np.int64)
-        if labels.max(initial=0) > 9:
-            bad = int(np.argmax(labels > 9))
-            raise DataError(f"record {bad}: label byte {labels[bad]} out of range [0, 10)")
-        pixels = records[:, 1:]
-    else:
-        coarse = records[:, 0].astype(np.int64)
-        labels = records[:, 1].astype(np.int64)
-        if coarse.max(initial=0) > 19:
-            bad = int(np.argmax(coarse > 19))
-            raise DataError(f"record {bad}: coarse label byte {coarse[bad]} out of range [0, 20)")
-        if labels.max(initial=0) > 99:
-            bad = int(np.argmax(labels > 99))
-            raise DataError(f"record {bad}: fine label byte {labels[bad]} out of range [0, 100)")
-        pixels = records[:, 2:]
-    return pixels, labels
+def _decode(records: np.ndarray, which: str, start: int):
+    """Validated (uint8 pixel rows, int64 labels) of a block of records whose
+    first is record ``start`` of its archive."""
+    label_bytes = _LABEL_BYTES[which]
+    for col, (name, limit) in enumerate(label_bytes):
+        column = records[:, col]
+        if column.max(initial=0) >= limit:
+            bad = int(np.argmax(column >= limit))
+            raise DataError(f"record {start + bad}: {name} byte {column[bad]} "
+                            f"out of range [0, {limit})")
+    return records[:, len(label_bytes):], records[:, len(label_bytes) - 1].astype(np.int64)
 
 
-def _read_split(root: Path, which: str, split: str):
-    """Every record of one split: (N, 3, 32, 32) images in [0, 1] and (N,) labels."""
-    parts = [_decode(_read_records(p, _RECORD_LEN[which]), which)
-             for p in _archive_paths(root, which, split)]
-    images = np.concatenate([px for px, _ in parts]).reshape(-1, 3, 32, 32).astype(np.float32)
-    images /= np.float32(255.0)
-    return images, np.concatenate([lb for _, lb in parts])
+def _blocks(paths: list, which: str):
+    """Every record of ``paths``, validated, in blocks of at most ``_BLOCK_RECORDS``:
+    yields (split-wide index of the block's first record, uint8 pixel rows, int64
+    labels). Archives are checked in order, so the first fault in them is
+    reported. The pixel rows view one buffer, which the next block overwrites."""
+    record_len = _RECORD_LEN[which]
+    buffer = np.empty((_BLOCK_RECORDS, record_len), dtype=np.uint8)
+    first = 0
+    for path in paths:
+        total = _record_count(path, record_len)
+        with open(path, "rb") as f:
+            for start in range(0, total, _BLOCK_RECORDS):
+                records = buffer[:min(_BLOCK_RECORDS, total - start)]
+                if f.readinto(records) != records.nbytes:
+                    raise DataError(f"{path}: archive shrank while being read")
+                pixels, labels = _decode(records, which, start)
+                yield first + start, pixels, labels
+        first += total
 
 
-def compute_norm_stats(images: np.ndarray):
-    """Per-channel float64 mean and std, one channel at a time: the float64
-    temporaries then span one channel, not the whole split."""
-    planes = [images[:, ch] for ch in range(images.shape[1])]
-    mean = np.array([p.mean(dtype=np.float64) for p in planes])
-    std = np.array([p.std(dtype=np.float64) for p in planes])
-    return mean.astype(np.float32), std.astype(np.float32)
+def _count_pixels(counts: np.ndarray, pixels: np.ndarray) -> None:
+    """Add each channel's counts of the 256 pixel values in ``pixels`` (rows of
+    3x1024 bytes) into ``counts`` (3, 256)."""
+    planes = pixels.reshape(len(pixels), 3, 1024)
+    for lo in range(0, len(planes), _COUNT_ROWS):
+        for ch in range(3):
+            counts[ch] += np.bincount(planes[lo:lo + _COUNT_ROWS, ch].ravel(), minlength=256)
 
 
-def load_or_compute_norm_stats(root: Path, which: str, train_images=None) -> tuple:
+def _norm_stats(counts: np.ndarray):
+    """Per-channel mean and std of the float32 pixel values v / 255, from their
+    counts: sums of 256 exact products, each rounded once (``math.fsum``)."""
+    values = (np.arange(256, dtype=np.float32) / np.float32(255.0)).tolist()
+    mean, std = [], []
+    for channel in counts.tolist():
+        n = sum(channel)
+        m = math.fsum(c * v for c, v in zip(channel, values)) / n
+        var = math.fsum(c * (v - m) ** 2 for c, v in zip(channel, values)) / n
+        mean.append(m)
+        std.append(math.sqrt(var))
+    return np.array(mean, dtype=np.float32), np.array(std, dtype=np.float32)
+
+
+def _stats_path(root: Path, which: str) -> Path:
+    return _base_dir(root, which) / f"normalization-{which}.json"
+
+
+def load_or_compute_norm_stats(root: Path, which: str, counts=None) -> tuple:
     """Per-channel mean/std from the training split, cached beside the data;
-    ``train_images``, the split's images if the caller has read them, spare a reread."""
-    stats_path = _base_dir(root, which) / f"normalization-{which}.json"
+    ``counts``, the split's pixel-value counts if the caller has taken them,
+    spare a pass over the archives."""
+    stats_path = _stats_path(root, which)
     if stats_path.is_file():
         try:
             stats = json.loads(stats_path.read_text())
@@ -148,9 +184,11 @@ def load_or_compute_norm_stats(root: Path, which: str, train_images=None) -> tup
             raise DataError(f"{stats_path}: normalization cache holds mean of shape "
                             f"{mean.shape} and std of shape {std.shape}, expected (3,)")
         return mean, std
-    if train_images is None:
-        train_images, _ = _read_split(root, which, "train")
-    mean, std = compute_norm_stats(train_images)
+    if counts is None:
+        counts = np.zeros((3, 256), dtype=np.int64)
+        for _, pixels, _ in _blocks(_archive_paths(root, which, "train"), which):
+            _count_pixels(counts, pixels)
+    mean, std = _norm_stats(counts)
     tmp = stats_path.with_name(f"{stats_path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text(json.dumps({"mean": mean.tolist(), "std": std.tolist()}))
@@ -161,17 +199,35 @@ def load_or_compute_norm_stats(root: Path, which: str, train_images=None) -> tup
     return mean, std
 
 
-def _apply_subset(images, labels, subset):
+def _subset_rows(total: int, subset) -> np.ndarray:
+    """Sorted split-wide indices of the records to keep; none for a count above
+    ``total``, which is reported once the archives have been checked."""
     if subset is None:
-        return images, labels
+        return np.arange(total)
     count, seed = subset
     if count < 1:
         raise ValueError(f"subset of {count} samples: the count must be at least 1")
-    if count > len(labels):
-        raise DataError(f"subset of {count} exceeds dataset size {len(labels)}")
-    idx = seeded_rng(seed, "subset").permutation(len(labels))[:count]
+    if count > total:
+        return np.arange(0)
+    idx = seeded_rng(seed, "subset").permutation(total)[:count]
     idx.sort()
-    return images[idx], labels[idx]
+    return idx
+
+
+def _read_rows(paths: list, which: str, rows: np.ndarray, counts):
+    """The records at split-wide indices ``rows`` (sorted) as (len(rows), 3, 32, 32)
+    float32 pixel bytes and int64 labels; every record's pixel values are
+    counted into ``counts`` unless it is None."""
+    images = np.empty((len(rows), 3, 32, 32), dtype=np.float32)
+    labels = np.empty(len(rows), dtype=np.int64)
+    for first, pixels, block_labels in _blocks(paths, which):
+        if counts is not None:
+            _count_pixels(counts, pixels)
+        lo, hi = np.searchsorted(rows, [first, first + len(pixels)])
+        kept = rows[lo:hi] - first
+        images[lo:hi] = pixels[kept].reshape(-1, 3, 32, 32)
+        labels[lo:hi] = block_labels[kept]
+    return images, labels
 
 
 def load_cifar(path=None, which: str = "cifar10", split: str = "train",
@@ -182,10 +238,18 @@ def load_cifar(path=None, which: str = "cifar10", split: str = "train",
     if split not in ("train", "test"):
         raise ValueError(f"unknown split {split!r}")
     root = resolve_data_dir(path)
-    images, labels = _read_split(root, which, split)
-    mean, std = load_or_compute_norm_stats(root, which, images if split == "train" else None)
-    images, labels = _apply_subset(images, labels, subset)
-    images = (images - mean[None, :, None, None]) / std[None, :, None, None]
+    paths = _archive_paths(root, which, split)
+    total = sum(p.stat().st_size // _RECORD_LEN[which] for p in paths)
+    rows = _subset_rows(total, subset)
+    counts = (np.zeros((3, 256), dtype=np.int64)
+              if split == "train" and not _stats_path(root, which).is_file() else None)
+    images, labels = _read_rows(paths, which, rows, counts)
+    mean, std = load_or_compute_norm_stats(root, which, counts)
+    if subset is not None and subset[0] > total:
+        raise DataError(f"subset of {subset[0]} exceeds dataset size {total}")
+    images /= np.float32(255.0)
+    images -= mean[None, :, None, None]
+    images /= std[None, :, None, None]
     return DatasetHandle(
         source=which, split=split, images=images, labels=labels,
         num_classes=10 if which == "cifar10" else 100, mean=mean, std=std,

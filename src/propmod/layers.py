@@ -116,7 +116,9 @@ def batchnorm_train_backward(grad: np.ndarray, cache, gamma: np.ndarray):
 def batchnorm_eval(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                    mean: np.ndarray, var: np.ndarray) -> np.ndarray:
     scale, shift = bn_affine(gamma, beta, mean, var)
-    return x * scale[None, :, None, None] + shift[None, :, None, None]
+    y = x * scale[None, :, None, None]
+    y += shift[None, :, None, None]
+    return y
 
 
 class BatchNorm2d:

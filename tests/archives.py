@@ -24,6 +24,15 @@ def write_overrunning_checkpoint(path, at: int, value: int):
     return path
 
 
+def link_archives(source, root):
+    """A directory at ``root`` holding symlinks to the ``.bin`` archives of
+    ``source``, and nothing else."""
+    root.mkdir(parents=True)
+    for archive in sorted(source.glob("*.bin")):
+        (root / archive.name).symlink_to(archive)
+    return root
+
+
 def write_cifar10_archives(root, train_per_file=40, test_count=20, seed=0):
     """Write archives in the exact CIFAR-10 binary layout (3073-byte records)."""
     rng = np.random.default_rng(seed)
@@ -34,12 +43,23 @@ def write_cifar10_archives(root, train_per_file=40, test_count=20, seed=0):
     return root
 
 
-def write_cifar100_archives(root, train_count=60, test_count=20, seed=0):
-    """Write archives in the exact CIFAR-100 binary layout (3074-byte records)."""
+def write_cifar100_archives(root, train_count=60, test_count=20, seed=0, bad_label_at=None,
+                            truncate=0):
+    """Write archives in the exact CIFAR-100 binary layout (3074-byte records).
+
+    ``bad_label_at`` sets that record's fine label byte of ``train.bin`` to 123,
+    and ``truncate`` cuts that many bytes off its end; a ``train_count`` above
+    10,000 puts either fault in a later block of the loader's reads."""
     rng = np.random.default_rng(seed)
     root.mkdir(parents=True, exist_ok=True)
-    _write_record_file(root / "train.bin", train_count, 100, rng, coarse=True)
+    train = root / "train.bin"
+    _write_record_file(train, train_count, 100, rng, coarse=True)
     _write_record_file(root / "test.bin", test_count, 100, rng, coarse=True)
+    if bad_label_at is not None or truncate:
+        raw = bytearray(train.read_bytes())
+        if bad_label_at is not None:
+            raw[bad_label_at * 3074 + 1] = 123
+        train.write_bytes(bytes(raw[:len(raw) - truncate]))
     return root
 
 

@@ -30,7 +30,7 @@ def report(name):
 
 
 @pytest.fixture(scope="session")
-def cifar10_fullsize(tmp_path_factory):
+def cifar10_fullsize(request):
     """Real archives when present under PRPT_DATA_DIR, else generated
     archives with the exact binary layout and record counts."""
     env = os.environ.get(DATA_DIR_ENV)
@@ -41,9 +41,7 @@ def cifar10_fullsize(tmp_path_factory):
                 return Path(env), "real"
         except DataError:
             pass
-    root = tmp_path_factory.mktemp("cifar10-full")
-    write_cifar10_archives(root, train_per_file=10000, test_count=10000, seed=0)
-    return root, "generated"
+    return request.getfixturevalue("cifar10_full_archives"), "generated"
 
 
 class TestAcceptance:

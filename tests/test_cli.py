@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from propmod.cli import _cell_args, _run_id, _train_configs, build_parser, main
 from propmod.data import load_or_compute_norm_stats
 from propmod.networks import NetworkConfig, build_network, format_manifest
 
-from archives import CKPT_COUNT_AT, CKPT_DIM_AT, write_overrunning_checkpoint
+from archives import CKPT_COUNT_AT, CKPT_DIM_AT, link_archives, write_overrunning_checkpoint
 
 GOLDEN = Path(__file__).parent / "golden"
 DEMOS = Path(__file__).parent.parent / "demos"
@@ -91,6 +92,14 @@ class TestExitCodes:
         code = main(["train", "--arch", "plain", "--depth", "8", "--dataset", "cifar10",
                      "--data-dir", str(tmp_path), "--epochs", "1"])
         assert code == 3
+
+    def test_empty_archive_exits_three_naming_it(self, cifar10_dir, tmp_path, capsys):
+        empty = cifar10_dir / "data_batch_2.bin"
+        empty.write_bytes(b"")
+        code = main(["train", *PLAIN8, "--dataset", "cifar10", "--data-dir", str(cifar10_dir),
+                     "--subset", "8", "--epochs", "1", "--out", str(tmp_path / "runs")])
+        assert code == 3
+        assert f"{empty}: empty archive" in capsys.readouterr().err
 
 
 class TestTrainCommand:
@@ -587,6 +596,25 @@ class TestCommandChecks:
         assert code == 0
         assert "(20 samples)" in capsys.readouterr().out
 
+    def test_eval_without_norm_cache_builds_no_train_split(self, cifar10_full_archives,
+                                                           cifar10_dir, tmp_path, capsys):
+        # the constants come from counts over the 50,000 train records, one block
+        # at a time: the float32 split alone would be 614 MB, its raw bytes 154 MB
+        root = link_archives(cifar10_full_archives, tmp_path / "data")
+        (root / "test_batch.bin").unlink()
+        (root / "test_batch.bin").write_bytes((cifar10_dir / "test_batch.bin").read_bytes())
+        assert main(["train", *PLAIN8, *TINY, "--out", str(tmp_path / "runs")]) == 0
+        ckpt = tmp_path / "runs" / "plain-d8-paired-s0" / "ckpt-final.bin"
+        tracemalloc.start()
+        try:
+            code = main(["eval", *PLAIN8, "--dataset", "cifar10", "--data-dir", str(root),
+                         "--ckpt", str(ckpt)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and "(20 samples)" in capsys.readouterr().out
+        assert (root / "normalization-cifar10.json").is_file()
+        assert peak < 50000 * 3072, peak
 
     def test_eval_manifest_checked_by_regenerating_it(self, tmp_path, capsys):
         assert main(["train", *PLAIN8, "--ratio", "2:1", *TINY, "--out", str(tmp_path)]) == 0

@@ -9,9 +9,12 @@ import pytest
 
 from propmod import DataError, load_cifar, make_synthetic
 from propmod import data as data_module
-from propmod.data import (augment_image, augmentation_rng, compute_norm_stats, epoch_order,
-                          hflip, iter_batches, load_or_compute_norm_stats, make_batch,
-                          pad_crop)
+from propmod.data import (augment_image, augmentation_rng, epoch_order, hflip, iter_batches,
+                          load_or_compute_norm_stats, make_batch, pad_crop)
+
+from archives import link_archives, write_cifar100_archives
+
+BLOCK = data_module._BLOCK_RECORDS
 
 
 class TestCifarLoader:
@@ -38,8 +41,10 @@ class TestCifarLoader:
 
     def test_zero_length_file_rejected(self, cifar10_dir):
         (cifar10_dir / "test_batch.bin").write_bytes(b"")
-        with pytest.raises(DataError):
+        with pytest.raises(DataError) as err:
             load_cifar(cifar10_dir, "cifar10", "test")
+        assert str(err.value) == (f"{cifar10_dir / 'test_batch.bin'}: empty archive, "
+                                  f"it holds no 3073-byte records")
 
     def test_label_out_of_range_rejected(self, cifar10_dir):
         victim = cifar10_dir / "data_batch_1.bin"
@@ -49,6 +54,50 @@ class TestCifarLoader:
         with pytest.raises(DataError) as err:
             load_cifar(cifar10_dir, "cifar10", "train")
         assert "17" in str(err.value)
+
+    def test_label_fault_wins_over_a_later_truncated_archive(self, cifar10_dir):
+        # archives are checked in order: data_batch_1's label before data_batch_3's size
+        victim = cifar10_dir / "data_batch_1.bin"
+        raw = bytearray(victim.read_bytes())
+        raw[5 * 3073] = 12
+        victim.write_bytes(bytes(raw))
+        later = cifar10_dir / "data_batch_3.bin"
+        later.write_bytes(later.read_bytes()[:-10])
+        with pytest.raises(DataError, match=r"^record 5: label byte 12 out of range \[0, 10\)$"):
+            load_cifar(cifar10_dir, "cifar10", "train", subset=(50, 0))
+
+    @pytest.mark.parametrize("fault, message", [
+        (dict(bad_label_at=2), "record 2: fine label byte 123 out of range [0, 100)"),
+        (dict(bad_label_at=BLOCK + 1),
+         f"record {BLOCK + 1}: fine label byte 123 out of range [0, 100)"),
+        (dict(truncate=10), f"train.bin: truncated archive, size {(BLOCK + 3) * 3074 - 10} is "
+                            f"not a multiple of 3074-byte records (truncation at byte offset "
+                            f"{(BLOCK + 2) * 3074})"),
+    ], ids=["first-block-label", "later-block-label", "later-block-truncation"])
+    def test_cifar100_faults_name_archive_record_and_offset(self, tmp_path, fault, message):
+        # train.bin spans two blocks; indices and offsets stay archive-relative
+        root = write_cifar100_archives(tmp_path / "c100", train_count=BLOCK + 3, **fault)
+        with pytest.raises(DataError) as err:
+            load_cifar(root, "cifar100", "train", subset=(8, 0))
+        assert str(err.value).endswith(message)
+
+    def test_cifar100_coarse_label_checked_before_fine(self, cifar100_dir):
+        victim = cifar100_dir / "train.bin"
+        raw = bytearray(victim.read_bytes())
+        raw[1 * 3074 + 1] = 100  # fine label of record 1
+        raw[3 * 3074] = 20  # coarse label of record 3
+        victim.write_bytes(bytes(raw))
+        with pytest.raises(DataError,
+                           match=r"^record 3: coarse label byte 20 out of range \[0, 20\)$"):
+            load_cifar(cifar100_dir, "cifar100", "train")
+
+    def test_archive_shrinking_after_its_size_was_read_rejected(self, cifar10_dir, monkeypatch):
+        # sizes are read before the records: a short read must not leave the
+        # previous block's bytes in place
+        record_count = data_module._record_count
+        monkeypatch.setattr(data_module, "_record_count", lambda *a: record_count(*a) + 1)
+        with pytest.raises(DataError, match="data_batch_1.bin: archive shrank while being read"):
+            load_cifar(cifar10_dir, "cifar10", "train")
 
     def test_missing_archive(self, tmp_path):
         with pytest.raises(DataError):
@@ -100,30 +149,32 @@ class TestCifarLoader:
         assert mean.shape == (3,) and std.shape == (3,)
         assert all(p.suffix == ".bin" for p in cifar10_dir.iterdir())
 
-    def test_norm_stats_make_no_split_sized_float64_copy(self):
-        images = np.random.default_rng(0).random((2000, 3, 32, 32), dtype=np.float32)
+    def test_norm_stats_make_no_split_sized_float64_copy(self, cifar10_full_archives, tmp_path):
+        # counted block by block: no float32 or float64 array of the split
+        root = link_archives(cifar10_full_archives, tmp_path / "cold")
         tracemalloc.start()
         try:
-            compute_norm_stats(images)
+            load_or_compute_norm_stats(root, "cifar10")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < images.nbytes, f"peak {peak} bytes for {images.nbytes} bytes of images"
+        plane = 50000 * 1024 * 8  # one channel of the split in float64
+        assert peak < plane // 4, f"peak {peak} bytes for a {plane}-byte float64 plane"
 
     def test_train_split_reads_each_archive_once(self, cifar10_dir, monkeypatch):
         # no normalization cache yet: the statistics come from the records
         # already read for the split, not from a second pass over the archives
         assert not (cifar10_dir / "normalization-cifar10.json").exists()
-        reads = []
-        read_records = data_module._read_records
+        passes = []
+        blocks = data_module._blocks
 
-        def counting(path, record_len):
-            reads.append(path.name)
-            return read_records(path, record_len)
+        def counting(paths, which):
+            passes.append([p.name for p in paths])
+            return blocks(paths, which)
 
-        monkeypatch.setattr(data_module, "_read_records", counting)
+        monkeypatch.setattr(data_module, "_blocks", counting)
         load_cifar(cifar10_dir, "cifar10", "train", subset=(50, 0))
-        assert sorted(reads) == [f"data_batch_{i}.bin" for i in range(1, 6)]
+        assert passes == [[f"data_batch_{i}.bin" for i in range(1, 6)]]
         assert (cifar10_dir / "normalization-cifar10.json").is_file()
 
     def test_normalized_train_mean_near_zero(self, cifar10_dir):
@@ -147,6 +198,96 @@ class TestCifarLoader:
         # a negative count would slice the permutation from its end, zero would leave it empty
         with pytest.raises(ValueError, match=f"subset of {count} samples"):
             load_cifar(cifar10_dir, "cifar10", "train", subset=(count, 0))
+
+
+def reference_norm_stats(pixels):
+    """The constants as float32 pixels / 255, then a float64 mean and std per
+    channel; ``pixels`` are a split's (N, 3072) uint8 pixel rows."""
+    mean, std = [], []
+    for ch in range(3):
+        plane = pixels[:, ch * 1024:(ch + 1) * 1024].astype(np.float32)
+        plane /= np.float32(255.0)
+        mean.append(plane.mean(dtype=np.float64))
+        std.append(plane.std(dtype=np.float64))
+    return np.array(mean).astype(np.float32), np.array(std).astype(np.float32)
+
+
+def archive_pixels(paths, record_len):
+    raw = np.concatenate([np.fromfile(p, dtype=np.uint8) for p in paths])
+    return raw.reshape(-1, record_len)[:, record_len - 3072:]
+
+
+class TestNormConstants:
+    """Constants from pixel-value counts against the float reference."""
+
+    def check(self, root, which):
+        names, record_len = (([f"data_batch_{i}.bin" for i in range(1, 6)], 3073)
+                             if which == "cifar10" else (["train.bin"], 3074))
+        want = reference_norm_stats(archive_pixels([root / n for n in names], record_len))
+        got = load_or_compute_norm_stats(root, which)
+        for a, b in zip(got, want):
+            assert a.dtype == np.float32
+            np.testing.assert_array_equal(a.view(np.uint32), b.view(np.uint32))
+
+    def test_fixtures(self, cifar10_dir, cifar100_dir):
+        self.check(cifar10_dir, "cifar10")
+        self.check(cifar100_dir, "cifar100")
+
+    def test_full_size_archives(self, cifar10_full_archives, tmp_path):
+        self.check(link_archives(cifar10_full_archives, tmp_path / "cold"), "cifar10")
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_archives_with_constant_planes(self, tmp_path, seed):
+        rng = np.random.default_rng([seed, 19])
+        which = ("cifar10", "cifar100")[seed % 2]
+        count = int(rng.integers(5, 6000))
+        record_len = 3073 if which == "cifar10" else 3074
+        records = rng.integers(0, 256, size=(count, record_len), dtype=np.uint8)
+        records[:, :record_len - 3072] = 0  # label bytes in range
+        constant = rng.integers(0, 3, size=seed % 3 + 1)  # one or more whole channels
+        for ch in constant:
+            start = record_len - 3072 + int(ch) * 1024
+            records[:, start:start + 1024] = rng.choice([0, 255, int(rng.integers(1, 255))])
+        root = tmp_path / which
+        root.mkdir()
+        if which == "cifar10":
+            for i, part in enumerate(np.array_split(records, 5), start=1):
+                (root / f"data_batch_{i}.bin").write_bytes(part.tobytes())
+        else:
+            (root / "train.bin").write_bytes(records.tobytes())
+        self.check(root, which)
+
+
+class TestStreamingMemory:
+    """tracemalloc peaks of loads from full-size archives (50,000 train records)."""
+
+    @staticmethod
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    def test_subset_load_peaks_near_one_block_plus_output(self, cifar10_full_archives,
+                                                          tmp_path):
+        # measured: about 2.5 MB above one block and the output, cold or warm
+        root = link_archives(cifar10_full_archives, tmp_path / "data")
+        block = BLOCK * 3073
+        for cache in ("cold", "warm"):
+            peak, handle = self.peak(lambda: load_cifar(root, "cifar10", "train",
+                                                        subset=(2048, 3)))
+            output = handle.images.nbytes + handle.labels.nbytes
+            assert peak < block + output + 8 * 2**20, (cache, peak)
+
+    def test_full_split_load_builds_no_second_split_sized_array(self, cifar10_full_archives,
+                                                                 tmp_path):
+        root = link_archives(cifar10_full_archives, tmp_path / "data")
+        peak, handle = self.peak(lambda: load_cifar(root, "cifar10", "train"))
+        assert len(handle) == 50000
+        raw_split = 50000 * 3072  # the smallest array of the whole split
+        assert peak - handle.images.nbytes < raw_split, peak
 
 
 class TestSynthetic:

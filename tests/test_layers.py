@@ -5,8 +5,9 @@ import pytest
 
 from propmod import ParamStore, Tensor
 from propmod.autograd import Tape, seeded_rng
-from propmod.layers import (BatchNorm2d, BatchNormState, Conv2d, Linear, batchnorm_train,
-                            batchnorm_train_backward, he_normal, softmax_cross_entropy)
+from propmod.layers import (BatchNorm2d, BatchNormState, Conv2d, Linear, batchnorm_eval,
+                            batchnorm_train, batchnorm_train_backward, bn_affine, he_normal,
+                            softmax_cross_entropy)
 
 
 def bn_fixture(channels=3, precision="double"):
@@ -152,6 +153,22 @@ class TestBatchNormMath:
         for name, a, b in zip(("y", "mean", "var", "dx", "dgamma", "dbeta"), got, want):
             assert a.dtype == np.float32 and a.shape == b.shape, name
             assert max_rel(a, b) < 1e-6, name
+
+
+class TestBatchNormEval:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_equal_scale_then_shift(self, dtype):
+        # the shift is added in place on the product; the bytes must be those of
+        # the one expression with its temporary
+        rng = seeded_rng(7, "bn-eval")
+        x = (rng.standard_normal((8, 16, 9, 9)) * 3 + 1).astype(dtype)
+        gamma, beta, mean = (rng.standard_normal(16).astype(dtype) for _ in range(3))
+        var = rng.random(16).astype(dtype) + dtype(0.5)
+        scale, shift = bn_affine(gamma, beta, mean, var)
+        want = x * scale[None, :, None, None] + shift[None, :, None, None]
+        got = batchnorm_eval(x, gamma, beta, mean, var)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
 
 
 class TestSoftmaxCrossEntropy:
