@@ -6,7 +6,7 @@ single reverse iteration. An op returns a :class:`Node`, the forward's
 handle on its output, a read-only ndarray (``node.data``); the tape keeps
 an array-free :class:`Entry` per op, whose ``grad_fn`` captures only what
 its backward reads (a conv's or linear layer's input, a ReLU's output, BN's
-normalized input). So every other output is freed once the forward drops
+centred input). So every other output is freed once the forward drops
 its last handle, and an eval tape (``training=False``), whose ops pass no
 ``grad_fn``, keeps no activation: ``backward`` and ``relu_signature`` on
 it raise. Outside input enters through ``Tape.constant``, which checks it

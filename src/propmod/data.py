@@ -224,9 +224,11 @@ def _read_rows(paths: list, which: str, rows: np.ndarray, counts):
         if counts is not None:
             _count_pixels(counts, pixels)
         lo, hi = np.searchsorted(rows, [first, first + len(pixels)])
-        kept = rows[lo:hi] - first
-        images[lo:hi] = pixels[kept].reshape(-1, 3, 32, 32)
-        labels[lo:hi] = block_labels[kept]
+        if hi - lo < len(pixels):  # gather the kept records; a whole block is read as is
+            kept = rows[lo:hi] - first
+            pixels, block_labels = pixels[kept], block_labels[kept]
+        images[lo:hi] = pixels.reshape(-1, 3, 32, 32)
+        labels[lo:hi] = block_labels
     return images, labels
 
 

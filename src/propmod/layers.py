@@ -5,7 +5,7 @@ names at construction time and are then pure functions of a tape:
 ``layer(tape, node) -> node``. Initialization is a deterministic function
 of (seed, parameter name), so rebuilding the same architecture with the
 same seed reproduces every weight bit for bit. Eval tapes record no
-backward: eval-mode batch norm keeps no normalized input and passes no
+backward: eval-mode batch norm keeps no centred input and passes no
 gradient function.
 """
 
@@ -76,49 +76,60 @@ def batchnorm_train(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
     """Normalize by batch statistics per channel, then scale-shift.
 
     Returns (y, cache, batch_mean, batch_var); variance is the biased
-    (population) estimate over the N*H*W slots of each channel. ``x`` is
-    centred once and the variance is reduced from the centred array without
-    squaring it into a temporary; ``xhat`` and ``y`` are buffers this op
-    allocates and owns.
+    (population) estimate over the N*H*W slots of each channel. The work runs
+    over ``x`` as (N, C*H*W) rows, each per-channel vector repeated once into
+    one such row: the mean sums the rows, then each channel's pixels; ``x`` is
+    centred once into the cached buffer ``xc``, the variance is reduced from it
+    without a squared temporary, and ``y = xc * (gamma*inv_std) + beta`` is
+    written into a second buffer. Two reductions and three elementwise passes.
     """
-    m = x.shape[0] * x.shape[2] * x.shape[3]
+    n, c, h, w = x.shape
+    p, m = h * w, n * h * w
     if m < 2:
         raise ValueError(
             f"train-mode batch norm undefined for a single slot per channel (N*H*W = {m})"
         )
-    mean = x.mean(axis=(0, 2, 3))
-    xhat = x - mean[None, :, None, None]
-    var = np.einsum("nchw,nchw->c", xhat, xhat) / m
+    rows = x.reshape(n, c * p)
+    mean = rows.sum(axis=0).reshape(c, p).sum(axis=1) / m
+    xc = rows - np.repeat(mean, p)
+    planes = xc.reshape(n, c, p)
+    var = np.einsum("ncp,ncp->c", planes, planes) / m
     inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
-    xhat *= inv_std[None, :, None, None]
-    y = xhat * gamma[None, :, None, None]
-    y += beta[None, :, None, None]
-    return y, (xhat, inv_std, m), mean, var
+    y = xc * np.repeat(gamma * inv_std, p)
+    y += np.repeat(beta, p)
+    return y.reshape(x.shape), (xc, inv_std), mean, var
 
 
 def batchnorm_train_backward(grad: np.ndarray, cache, gamma: np.ndarray):
-    """Full backward through the batch statistics.
+    """Full backward through the batch statistics, over (N, C*H*W) rows.
 
-    dx = gamma*inv_std * (grad - dbeta/m - xhat*dgamma/m), built in one
-    buffer this op owns; ``grad`` is only read (``add`` hands the same array
-    to both of its inputs).
+    With ``xc`` the centred input, dgamma = sum(grad * xc) * inv_std and
+    dx = gamma*inv_std * (grad - dbeta/m - xc * inv_std*dgamma/m), built in
+    four passes into one buffer this op owns; ``grad`` is only read (``add``
+    hands the same array to both of its inputs).
     """
-    xhat, inv_std, m = cache
-    dgamma = np.einsum("nchw,nchw->c", grad, xhat)
-    dbeta = grad.sum(axis=(0, 2, 3))
-    dx = xhat * (dgamma / m)[None, :, None, None]
-    dx += (dbeta / m)[None, :, None, None]
-    np.subtract(grad, dx, out=dx)
-    dx *= (gamma * inv_std)[None, :, None, None]
-    return dx, dgamma, dbeta
+    xc, inv_std = cache
+    n, c, h, w = grad.shape
+    p, m = h * w, n * h * w
+    g = grad.reshape(n, c * p)
+    dbeta = g.sum(axis=0).reshape(c, p).sum(axis=1)
+    dgamma = np.einsum("ncp,ncp->c", g.reshape(n, c, p), xc.reshape(n, c, p)) * inv_std
+    dx = xc * np.repeat(inv_std * dgamma / m, p)
+    dx += np.repeat(dbeta / m, p)
+    np.subtract(g, dx, out=dx)
+    dx *= np.repeat(gamma * inv_std, p)
+    return dx.reshape(grad.shape), dgamma, dbeta
 
 
 def batchnorm_eval(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                    mean: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """Eval-mode batch norm, the affine map of :func:`bn_affine` over
+    (N, C*H*W) rows: ``y = x * scale``, then ``y += shift`` in place."""
+    n, c, h, w = x.shape
     scale, shift = bn_affine(gamma, beta, mean, var)
-    y = x * scale[None, :, None, None]
-    y += shift[None, :, None, None]
-    return y
+    y = x.reshape(n, c * h * w) * np.repeat(scale, h * w)
+    y += np.repeat(shift, h * w)
+    return y.reshape(x.shape)
 
 
 class BatchNorm2d:

@@ -384,11 +384,14 @@ class TestResumedGradcheck:
 
     def test_dropped_bn_mean_term_is_caught(self, monkeypatch):
         def backward_without_dbeta_term(grad, cache, gamma):
-            xhat, inv_std, m = cache
-            dgamma = np.einsum("nchw,nchw->c", grad, xhat)
-            dbeta = grad.sum(axis=(0, 2, 3))
-            dx = grad - xhat * (dgamma / m)[None, :, None, None]
-            return dx * (gamma * inv_std)[None, :, None, None], dgamma, dbeta
+            xc, inv_std = cache  # the centred input as (N, C*H*W) rows
+            n, c, h, w = grad.shape
+            m = n * h * w
+            g, xc = grad.reshape(n, c, h * w), xc.reshape(n, c, h * w)
+            dgamma = np.einsum("ncp,ncp->c", g, xc) * inv_std
+            dbeta = g.sum(axis=(0, 2))
+            dx = g - xc * (inv_std * dgamma / m)[None, :, None]
+            return (dx * (gamma * inv_std)[None, :, None]).reshape(grad.shape), dgamma, dbeta
 
         monkeypatch.setattr(layers, "batchnorm_train_backward", backward_without_dbeta_term)
         model, x, labels = oracle_case("resnet-preact-bottleneck", 11, dict(removal="1"))
@@ -529,7 +532,7 @@ class TestNodeContract:
             elif entry.kind == "relu":
                 assert len(outputs) == 1 and outputs[0] is own
             elif entry.kind == "batchnorm":
-                # its normalized input and gamma, never its input or output
+                # its centred input and gamma, never its input or output
                 assert all(o is inputs[1] for o in outputs)
                 assert not any(c is inputs[0] or c is own for c in captured)
             else:

@@ -288,6 +288,9 @@ class TestStreamingMemory:
         assert len(handle) == 50000
         raw_split = 50000 * 3072  # the smallest array of the whole split
         assert peak - handle.images.nbytes < raw_split, peak
+        # a whole block is copied without a gathered copy of its pixels
+        output = handle.images.nbytes + handle.labels.nbytes
+        assert peak - output < BLOCK * 3073 + 8 * 2**20, peak - output
 
 
 class TestSynthetic:
