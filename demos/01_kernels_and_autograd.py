@@ -6,7 +6,7 @@ Run:  python demos/01_kernels_and_autograd.py
 
 import numpy as np
 
-from propmod import ParamStore, Tensor, gradcheck
+from propmod import ParamStore, gradcheck
 from propmod.autograd import Tape, seeded_rng
 from propmod.kernels import conv2d, conv2d_naive, relu
 
@@ -34,7 +34,7 @@ inp = rng.standard_normal((2, 2, 6, 6))
 
 
 def loss_builder(tape: Tape):
-    out = tape.conv2d(tape.constant(Tensor(inp)), tape.param("w"), stride=1, padding=1)
+    out = tape.conv2d(tape.constant(inp), tape.param("w"), stride=1, padding=1)
     return tape.sum(tape.relu(out))
 
 

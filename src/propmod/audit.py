@@ -27,8 +27,8 @@ import numpy as np
 
 from . import kernels
 from .autograd import ParamStore, Tape, seeded_rng
-from .blocks import BlockSpec, make_block, reduce_ratio
-from .layers import BatchNormState
+from .blocks import Block, BlockSpec, reduce_ratio
+from .layers import BatchNormState, batchnorm_eval, bn_affine
 from .tensor import ShapeError, check_same_precision
 
 
@@ -77,7 +77,7 @@ def audit(target, input_shape=(1, 3, 32, 32)) -> RatioReport:
     rng = seeded_rng(0, "audit-probe")
     if isinstance(target, BlockSpec):
         store = ParamStore("double")
-        block = make_block(store, "stage0.block0", target, seed=0)
+        block = Block(store, "stage0.block0", target, seed=0)
         tape = Tape(store, training=False)
         probe = rng.standard_normal((input_shape[0], target.in_channels) + tuple(input_shape[2:]))
         x = tape.constant(probe)
@@ -171,8 +171,8 @@ def collapse_check(a: np.ndarray, b: np.ndarray, interior=None, probes: int = 10
     composed single convolution. Each conv runs at stride 1 with padding k//2.
 
     ``interior`` is what sits between the convolutions: None, an eval-mode
-    :class:`BatchNormState` (a per-channel affine map, which still folds
-    into the composition), or the string ``"relu"`` (composed as if absent,
+    :class:`BatchNormState` (a per-channel affine map, run by the network's
+    :func:`batchnorm_eval`, which still folds into the composition), or the string ``"relu"`` (composed as if absent,
     so the reported deviation exposes the non-collapse).
     """
     if probes < 1:
@@ -183,7 +183,9 @@ def collapse_check(a: np.ndarray, b: np.ndarray, interior=None, probes: int = 10
     pad_a, pad_b = a.shape[2] // 2, b.shape[2] // 2
     scale = shift = None
     if isinstance(interior, BatchNormState):
-        scale, shift = (v.astype(a.dtype) for v in interior.eval_affine())
+        bn = [v.astype(a.dtype) for v in (interior.gamma, interior.beta,
+                                          interior.running_mean, interior.running_var)]
+        scale, shift = bn_affine(*bn)
         interior_kind = "eval-bn"
     elif interior in (None, "relu"):
         interior_kind = interior or "none"
@@ -213,7 +215,7 @@ def collapse_check(a: np.ndarray, b: np.ndarray, interior=None, probes: int = 10
         x = rng.standard_normal((PROBE_BATCH, a.shape[1], *PROBE_HW)).astype(a.dtype)
         mid = kernels.conv2d(x, a, stride=1, padding=pad_a)
         if interior_kind == "eval-bn":
-            mid = mid * scale[None, :, None, None] + shift[None, :, None, None]
+            mid = batchnorm_eval(mid, *bn)
         elif interior_kind == "relu":
             mid = kernels.relu(mid)
         stacked = kernels.conv2d(mid, b, stride=1, padding=pad_b)

@@ -67,14 +67,8 @@ class ParamStore:
     def register(self, name: str, value, trainable: bool = True) -> str:
         if name in self._entries:
             raise ValueError(f"parameter {name!r} already registered")
-        tensor = value if isinstance(value, Tensor) else Tensor(np.asarray(value, dtype=self.dtype))
-        if tensor.dtype != self.dtype:
-            tensor = tensor.astype(self.precision)
-        self._entries[name] = Parameter(tensor, trainable)
+        self._entries[name] = Parameter(Tensor(np.asarray(value, dtype=self.dtype)), trainable)
         return name
-
-    def __contains__(self, name):
-        return name in self._entries
 
     def __getitem__(self, name: str) -> Parameter:
         return self._entries[name]
@@ -194,8 +188,7 @@ class Tape:
 
     def constant(self, data) -> Node:
         """Outside input, checked as a Tensor, which copies a view of the caller's memory."""
-        tensor = data if isinstance(data, Tensor) else Tensor(data)
-        return self.record("constant", (), tensor.data, None)
+        return self.record("constant", (), Tensor(data).data, None)
 
     def param(self, name: str) -> Node:
         return self.record("param", (), self.params[name].value.data, None, param_name=name)
@@ -367,9 +360,8 @@ class GradcheckResult:
 
 
 def _masks_equal(sig_a, sig_b) -> bool:
-    if len(sig_a) != len(sig_b):
-        return False
-    return all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(sig_a, sig_b))
+    return len(sig_a) == len(sig_b) and all(
+        a.shape == b.shape and np.array_equal(a, b) for a, b in zip(sig_a, sig_b))
 
 
 def gradcheck(loss_builder: Callable[[Tape], Node], params: ParamStore,

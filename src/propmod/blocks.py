@@ -48,15 +48,12 @@ class LinearModuleError(ValueError):
     """All ReLUs removed: the stack degenerates to a linear module."""
 
 
-def parse_ratio(ratio) -> tuple:
-    """Accept 'N:M' strings or (N, M) pairs; returns the raw pair."""
-    if isinstance(ratio, str):
-        parts = ratio.split(":")
-        if len(parts) != 2:
-            raise ValueError(f"ratio must look like 'N:M', got {ratio!r}")
-        return int(parts[0]), int(parts[1])
-    n, m = ratio
-    return int(n), int(m)
+def parse_ratio(ratio: str) -> tuple:
+    """The raw (N, M) pair of an 'N:M' string."""
+    parts = ratio.split(":")
+    if len(parts) != 2:
+        raise ValueError(f"ratio must look like 'N:M', got {ratio!r}")
+    return int(parts[0]), int(parts[1])
 
 
 def reduce_ratio(n: int, m: int) -> tuple:
@@ -328,7 +325,3 @@ class Block:
                              for branch, xi in zip(self.branches, x))
             skip = (lambda: self._skip(tape, x)) if self.residual else None
             return self.branches[0](tape, x, skip)
-
-
-def make_block(store: ParamStore, name: str, spec: BlockSpec, seed: int = 0) -> Block:
-    return Block(store, name, spec, seed)

@@ -57,7 +57,10 @@ def save_tensors(path, tensors: dict) -> None:
 
 
 def load_tensors(path) -> dict:
-    blob = Path(path).read_bytes()
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as err:
+        raise CheckpointError(f"{path}: cannot read checkpoint: {err.strerror}") from None
     if len(blob) < 16 or blob[:4] != MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
     (stored_crc,) = struct.unpack("<I", blob[-4:])
@@ -114,29 +117,35 @@ def save_training_state(path, model, velocities: dict, epoch: int, seed: int,
 def load_training_state(path, model) -> dict:
     """Restore a snapshot into a model; returns velocities and metadata.
 
-    Every model tensor must be present with the exact shape, and so must
-    ``meta.epoch`` and ``meta.seed``; mismatches raise naming the offending
-    tensor.
+    Every model tensor must be present with the exact shape, and so must the
+    scalars ``meta.epoch`` and ``meta.seed`` and one ``opt.velocity.<name>``
+    per trainable parameter, of that parameter's shape; a velocity of no
+    trainable parameter is refused too. Mismatches raise naming the
+    offending tensor, before the model changes.
     """
     tensors = load_tensors(path)
-    for name in (*model.store.names(), "meta.epoch", "meta.seed"):
+    store, prefix = model.store, "opt.velocity."
+    shapes = {name: p.value.shape for name, p in store.items()}
+    shapes["meta.epoch"] = shapes["meta.seed"] = ()
+    shapes.update((prefix + name, p.value.shape) for name, p in store.trainable_items())
+    for name in shapes:
         if name not in tensors:
             raise CheckpointError(f"{path}: tensor {name!r} missing from checkpoint")
-    for name, entry in model.store.items():
-        arr = tensors[name]
-        if tuple(arr.shape) != entry.value.shape:
+    for name, shape in shapes.items():
+        if tuple(tensors[name].shape) != shape:
             raise CheckpointError(
-                f"{path}: tensor {name!r} shape {tuple(arr.shape)} does not match "
-                f"model shape {entry.value.shape}"
+                f"{path}: tensor {name!r} shape {tuple(tensors[name].shape)} does not match "
+                f"model shape {shape}"
             )
-        model.store.set_value(name, arr.astype(model.store.dtype, copy=False))
-    velocities = {}
-    prefix = "opt.velocity."
-    for name, arr in tensors.items():
-        if name.startswith(prefix):
-            velocities[name[len(prefix):]] = arr.astype(model.store.dtype, copy=False).copy()
+    for name in tensors:
+        if name.startswith(prefix) and name not in shapes:
+            raise CheckpointError(f"{path}: tensor {name!r} is the velocity of no trainable "
+                                  "parameter of the model")
+    for name in store.names():
+        store.set_value(name, tensors[name].astype(store.dtype, copy=False))
     return {
-        "velocities": velocities,
+        "velocities": {name: tensors[prefix + name].astype(store.dtype)
+                       for name, _ in store.trainable_items()},
         "epoch": int(tensors["meta.epoch"]),
         "seed": int(tensors["meta.seed"]),
         # absent from checkpoints written before they were recorded

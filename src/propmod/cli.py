@@ -13,7 +13,7 @@ import json
 import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -80,7 +80,7 @@ def _add_train_flags(p):
     # accepted for old command lines and sweep specs; batches are assembled in
     # the training loop and every run is bit-reproducible whatever its value
     p.add_argument("--workers", type=int, default=1,
-                   help="data workers; 1 guarantees bit-reproducible runs")
+                   help="ignored: batches are built in the training loop")
     p.add_argument("--no-augment", action="store_true", help="disable crop/flip augmentation")
 
 
@@ -203,6 +203,15 @@ def _run_id(cfg: NetworkConfig) -> str:
     return "-".join(bits)
 
 
+@contextmanager
+def _writing(path):
+    """Writes under an output path; one that fails is a usage error naming the path."""
+    try:
+        yield
+    except OSError as err:
+        raise ValueError(f"cannot write {path}: {err.strerror}") from None
+
+
 def _train_run(args, run_name=None):
     """Load data, build the network, write the manifest and fit one run in
     ``<out>/<run_name or run id>``; returns (run directory, RunRecord)."""
@@ -210,8 +219,9 @@ def _train_run(args, run_name=None):
     train_data, test_data = _load(args, "train"), _load(args, "test")
     model = build_network(net_cfg)
     out_dir = Path(args.out) / (run_name or _run_id(net_cfg))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "manifest.txt").write_text(format_manifest(model))
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "manifest.txt").write_text(format_manifest(model))
     return out_dir, fit(model, train_data, test_data, cfg, out_dir=out_dir,
                         resume_from=args.resume)
 
@@ -278,7 +288,8 @@ def cmd_audit(args) -> int:
         lines = ["region,convs,relus,params,flops_conv"]
         lines += [",".join(map(str, (name, *row))) for name, row in r.regions.items()]
         lines.append(f"total,{r.total_conv},{r.total_relu},{r.param_count},{r.flops_conv}")
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        with _writing(args.out):
+            Path(args.out).write_text("\n".join(lines) + "\n")
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -390,7 +401,6 @@ def cmd_sweep(args) -> int:
                 failures.append((name, seed, str(err)))
 
     out_root = Path(args.out)
-    out_root.mkdir(parents=True, exist_ok=True)
     rows = ["cell,arch,depth,module,runs,acc_mean,acc_std"]
     best = (None, -1.0)
     for cell in cells:
@@ -405,7 +415,9 @@ def cmd_sweep(args) -> int:
                     f"{mean:.6f},{std:.6f}")
         if mean > best[1]:
             best = (name, mean)
-    (out_root / "results.csv").write_text("\n".join(rows) + "\n")
+    with _writing(out_root):
+        out_root.mkdir(parents=True, exist_ok=True)
+        (out_root / "results.csv").write_text("\n".join(rows) + "\n")
     print(f"wrote {out_root / 'results.csv'} ({len(rows) - 1} cells)")
     if best[0] is not None:
         print(f"winner: {best[0]} (mean accuracy {best[1]:.4f})")

@@ -61,9 +61,6 @@ class BatchNormState:
         if np.any(self.running_var < 0):
             raise ValueError("running_var must be non-negative")
 
-    def eval_affine(self) -> tuple:
-        return bn_affine(self.gamma, self.beta, self.running_mean, self.running_var)
-
 
 def bn_affine(gamma, beta, mean, var) -> tuple:
     """Eval-mode batch norm as (scale, shift): scale = gamma / sqrt(var + eps),
@@ -152,15 +149,6 @@ class BatchNorm2d:
         store.register(name + ".beta", np.zeros(channels, dtype=dt))
         store.register(name + ".running_mean", np.zeros(channels, dtype=dt), trainable=False)
         store.register(name + ".running_var", np.ones(channels, dtype=dt), trainable=False)
-
-    def state(self) -> BatchNormState:
-        s = self.store
-        return BatchNormState(
-            gamma=s[self.name + ".gamma"].value.data.copy(),
-            beta=s[self.name + ".beta"].value.data.copy(),
-            running_mean=s[self.name + ".running_mean"].value.data.copy(),
-            running_var=s[self.name + ".running_var"].value.data.copy(),
-        )
 
     def __call__(self, tape: Tape, x: Node) -> Node:
         g = tape.param(self.name + ".gamma")

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import ParamStore, Tape
-from .blocks import (BlockSpec, build_merge_run, build_plain_module,
-                     build_preact_bottleneck, build_preact_building, make_block)
+from .blocks import (Block, BlockSpec, build_merge_run, build_plain_module,
+                     build_preact_bottleneck, build_preact_building)
 from .layers import BatchNorm2d, Conv2d, Linear, softmax_cross_entropy
 
 FAMILIES = ("plain", "resnet-preact", "resnet-preact-bottleneck", "dfn-mr1")
@@ -113,10 +113,6 @@ class Model:
         self.head = head            # (bn-or-None, linear)
         self.depth_note = depth_note
 
-    @property
-    def family(self):
-        return self.cfg.family
-
     def forward_on(self, tape: Tape, x) -> "Node":
         """Logits of ``x``, recorded on ``tape``.
 
@@ -165,7 +161,7 @@ class Model:
                 node = stem_bn(tape, node)
                 node = tape.relu(node)
         # merge-and-run blocks carry a pair of streams
-        return (node, node) if self.family == "dfn-mr1" else node
+        return (node, node) if self.cfg.family == "dfn-mr1" else node
 
     def _head(self, tape: Tape, node):
         head_bn, fc = self.head
@@ -214,7 +210,7 @@ def build_network(cfg: NetworkConfig) -> Model:
             stride = 2 if (s > 0 and b == 0) else 1
             spec = template.with_shape(in_ch, out_ch, stride,
                                        mid_channels=width if bottleneck else None)
-            blocks.append(make_block(store, f"stage{s + 1}.block{b}", spec, seed=seed))
+            blocks.append(Block(store, f"stage{s + 1}.block{b}", spec, seed=seed))
             in_ch = out_ch
         stages.append(blocks)
 

@@ -78,13 +78,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    def astype(self, precision: str) -> "Tensor":
-        return Tensor(self.data.astype(dtype_for(precision)))
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, precision={self.precision})"
 

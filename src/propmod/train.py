@@ -175,12 +175,13 @@ def fit(model, train_data: DatasetHandle, test_data: DatasetHandle | None,
     optimizer = SGD(model.store, cfg)
     record = RunRecord(config_hash=cfg.hash())
     start_epoch, best_acc = 0, -1.0
+    last_ckpt = resume_from  # the newest checkpoint of this run's state
     if resume_from is not None:
         state = load_training_state(resume_from, model)
         if state["seed"] != cfg.seed:
             raise ValueError(f"checkpoint {resume_from} was written with seed {state['seed']}, "
                              f"but this run uses seed {cfg.seed}")
-        optimizer.velocities.update(state["velocities"])
+        optimizer.velocities = state["velocities"]
         start_epoch = state["epoch"] + 1
         best_acc = state["best_acc"]
         record.epochs = [EpochStats(int(row[0]), *map(float, row[1:]))
@@ -201,8 +202,8 @@ def fit(model, train_data: DatasetHandle, test_data: DatasetHandle | None,
             loss_value = float(loss.data)
             if not np.isfinite(loss_value):
                 raise NumericalFailure(
-                    f"loss became non-finite at epoch {epoch}; last good checkpoint "
-                    f"{'retained in ' + str(out_dir) if out_dir else 'unavailable (no out_dir)'}"
+                    f"loss became non-finite at epoch {epoch}; "
+                    + (f"last good checkpoint {last_ckpt}" if last_ckpt else "no checkpoint written")
                 )
             grads = tape.backward(loss)
             tape.commit_updates()
@@ -222,6 +223,7 @@ def fit(model, train_data: DatasetHandle, test_data: DatasetHandle | None,
             for name in ["ckpt-final.bin"] + ["ckpt-best.bin"] * improved:
                 save_training_state(out_dir / name, model, optimizer.velocities,
                                     epoch, cfg.seed, best_acc, history)
+            last_ckpt = out_dir / "ckpt-final.bin"
             (out_dir / "curves.csv").write_text(record.to_csv())
     record.wall_time = time.perf_counter() - t0
     return record

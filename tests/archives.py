@@ -10,18 +10,25 @@ import numpy as np
 from propmod.checkpoint import save_tensors
 
 # byte offsets in a checkpoint holding the one tensor "w" of rank 1
-CKPT_COUNT_AT, CKPT_DIM_AT = 8, 17
+CKPT_VERSION_AT, CKPT_COUNT_AT, CKPT_DTYPE_AT, CKPT_DIM_AT, CKPT_CRC_AT = 4, 8, 15, 17, 25
+
+
+def write_patched_checkpoint(path, at: int, patch: bytes):
+    """A CRC-valid checkpoint of one float32 tensor "w" of shape (1,), with
+    ``patch`` written over its bytes from ``at`` on (at ``CKPT_CRC_AT`` it
+    lands after the payload) and the CRC recomputed."""
+    save_tensors(path, {"w": np.ones(1, dtype=np.float32)})
+    raw = bytearray(path.read_bytes()[:-4])
+    raw[at:at + len(patch)] = patch
+    path.write_bytes(bytes(raw) + struct.pack("<I", zlib.crc32(raw)))
+    return path
 
 
 def write_overrunning_checkpoint(path, at: int, value: int):
-    """A CRC-valid checkpoint of one float32 tensor "w" of shape (1,), with the
-    u32 at byte ``at`` set to ``value``: its count or its one dimension, so
-    the manifest claims more than the file holds."""
-    save_tensors(path, {"w": np.ones(1, dtype=np.float32)})
-    raw = bytearray(path.read_bytes()[:-4])
-    struct.pack_into("<I", raw, at, value)
-    path.write_bytes(bytes(raw) + struct.pack("<I", zlib.crc32(raw)))
-    return path
+    """The checkpoint of :func:`write_patched_checkpoint` with the u32 at byte
+    ``at`` set to ``value``: its count or its one dimension, so the manifest
+    claims more than the file holds."""
+    return write_patched_checkpoint(path, at, struct.pack("<I", value))
 
 
 def link_archives(source, root):

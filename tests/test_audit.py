@@ -8,8 +8,8 @@ import pytest
 from propmod import NetworkConfig, audit, build_network, collapse_check
 from propmod.audit import compose_kernels
 from propmod.autograd import ParamStore, Tape, seeded_rng
-from propmod.blocks import (build_merge_run, build_plain_module,
-                            build_preact_bottleneck, build_preact_building, make_block)
+from propmod.blocks import (Block, build_merge_run, build_plain_module,
+                            build_preact_bottleneck, build_preact_building)
 from propmod.layers import BatchNormState
 from propmod.tensor import ShapeError
 
@@ -18,7 +18,7 @@ class TestAudit:
     def test_plain_two_one_stack_counts(self):
         # a trunk of three 2:1 modules = 6 convs, 3 ReLUs
         store = ParamStore("double")
-        blocks = [make_block(store, f"stage1.block{i}", build_plain_module("2:1"), seed=i)
+        blocks = [Block(store, f"stage1.block{i}", build_plain_module("2:1"), seed=i)
                   for i in range(3)]
 
         def forward(x, training=False):

@@ -8,8 +8,8 @@ import pytest
 
 from propmod import (NetworkConfig, ParamStore, ShapeError, Tensor, TrainConfig, audit,
                      build_network, fit, gradcheck, kernels, layers, make_synthetic)
-from propmod.autograd import Node, Tape, seeded_rng
-from propmod.blocks import Block, build_preact_building, make_block
+from propmod.autograd import Node, Tape, _masks_equal, seeded_rng
+from propmod.blocks import Block, build_preact_building
 from propmod.layers import softmax_cross_entropy
 
 from call_records import record_calls
@@ -22,6 +22,15 @@ def make_store(values, precision="double"):
     return store
 
 
+class TestParamStore:
+    def test_set_value_of_wrong_shape_names_parameter(self):
+        store = make_store({"w": np.zeros((2, 3))})
+        with pytest.raises(ShapeError) as err:
+            store.set_value("w", np.zeros((3, 2)))
+        assert str(err.value) == "parameter 'w': new value shape (3, 2) does not match (2, 3)"
+        np.testing.assert_array_equal(store["w"].value.data, np.zeros((2, 3)))
+
+
 class TestBackward:
     def test_linear_function_gradient(self):
         # loss = sum(w * x) with x fixed -> grad(w) == x
@@ -29,7 +38,7 @@ class TestBackward:
         store = make_store({"w": [1.0, 1.0, 1.0]})
         tape = Tape(store)
         w = tape.param("w")
-        xs = tape.constant(Tensor(x))
+        xs = tape.constant(x)
         prod = tape.record("mul", (w, xs), w.data * x,
                            lambda g: (g * x, g * w.value.data))
         np.testing.assert_array_equal(tape.backward(tape.sum(prod))["w"], x)
@@ -101,6 +110,13 @@ def tiny_resnet():
                                        seed=1))
 
 
+def test_relu_signatures_of_different_lengths_differ():
+    masks = [np.ones((2, 3), dtype=bool)]
+    assert _masks_equal(masks, list(masks))
+    assert not _masks_equal(masks, masks * 2)
+    assert not _masks_equal(masks, [np.ones(6, dtype=bool)])
+
+
 class TestEvalTape:
     def test_backward_on_eval_tape_raises(self):
         store = make_store({"w": [1.0, -2.0]})
@@ -148,7 +164,7 @@ class TestEvalTape:
     def test_relu_signature_at_special_values(self):
         x = np.array([np.nan, 0.0, -0.0, -1.0, 1e-300, np.inf, -np.inf])
         tape = Tape(make_store({}))
-        tape.relu(tape.constant(Tensor(x)))
+        tape.relu(tape.constant(x))
         np.testing.assert_array_equal(tape.relu_signature()[0], x > 0)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -157,7 +173,7 @@ class TestEvalTape:
         x = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny, 2.5, -2.5],
                      dtype=dtype)
         tape = Tape(make_store({}))
-        out = tape.relu(tape.constant(Tensor(x))).value.data
+        out = tape.relu(tape.constant(x)).value.data
         reference = np.where(x > 0, x, dtype(0))  # NaN and -0.0 both map to +0.0
         assert kernels.relu(x).tobytes() == out.tobytes() == reference.tobytes()
 
@@ -166,7 +182,7 @@ class TestEvalTape:
         x = np.array([-1.0, 0.0, np.nan, -np.nan, 2.0], dtype=dtype)
         g = np.array([-3.0, np.nan, -np.inf, -0.0, 4.0], dtype=dtype)
         tape = Tape(make_store({}))
-        (dx,) = tape.relu(tape.constant(Tensor(x))).grad_fn(g)
+        (dx,) = tape.relu(tape.constant(x)).grad_fn(g)
         assert dx.tobytes() == np.array([0.0, 0.0, 0.0, 0.0, 4.0], dtype=dtype).tobytes()
 
 
@@ -177,7 +193,7 @@ class TestGradcheck:
         store = make_store({"w": rng.standard_normal((4, 4)), "b": np.zeros(4)})
 
         def build(tape):
-            out = tape.linear(tape.constant(Tensor(x)), tape.param("w"), tape.param("b"))
+            out = tape.linear(tape.constant(x), tape.param("w"), tape.param("b"))
             return tape.sum(out)
 
         result = gradcheck(build, store, eps=1e-5)
@@ -195,7 +211,7 @@ class TestGradcheck:
         store = make_store({"k": rng.standard_normal((3, 2, 3, 3)) * 0.5})
 
         def build(tape):
-            out = tape.conv2d(tape.constant(Tensor(x)), tape.param("k"), stride=1, padding=1)
+            out = tape.conv2d(tape.constant(x), tape.param("k"), stride=1, padding=1)
             return tape.sum(tape.relu(out))
 
         result = gradcheck(build, store, eps=1e-5)
@@ -208,10 +224,10 @@ class TestGradcheck:
         labels = np.array([1, 0])
         store = ParamStore("double")
         spec = build_preact_building("first", in_channels=4, out_channels=4)
-        block = make_block(store, "stage1.block0", spec, seed=3)
+        block = Block(store, "stage1.block0", spec, seed=3)
 
         def build(tape):
-            out = block(tape, tape.constant(Tensor(x)))
+            out = block(tape, tape.constant(x))
             pooled = tape.global_avg_pool(out)  # (N, 4) logits
             return softmax_cross_entropy(tape, pooled, labels)
 
@@ -225,12 +241,12 @@ class TestGradcheck:
         from propmod.blocks import build_postact_building
         for removal in ("first", "second"):
             store = ParamStore("double")
-            block = make_block(store, "stage1.block0",
+            block = Block(store, "stage1.block0",
                                build_postact_building(removal, in_channels=4, out_channels=4),
                                seed=5)
 
             def build(tape):
-                out = block(tape, tape.constant(Tensor(x)))
+                out = block(tape, tape.constant(x))
                 return softmax_cross_entropy(tape, tape.global_avg_pool(out), labels)
 
             assert gradcheck(build, store, eps=1e-5).max_rel_err < 1e-6

@@ -16,9 +16,8 @@ import numpy as np
 
 from golden_lines import assert_matches, print_lines
 from propmod.autograd import ParamStore, Tape
-from propmod.blocks import (build_merge_run, build_plain_module, build_postact_building,
-                            build_preact_bottleneck, build_preact_building, make_block)
-from propmod.tensor import Tensor
+from propmod.blocks import (Block, build_merge_run, build_plain_module, build_postact_building,
+                            build_preact_bottleneck, build_preact_building)
 
 GOLDEN = Path(__file__).parent / "block_structure.txt"
 
@@ -58,9 +57,9 @@ def structure_lines():
     lines = []
     for label, spec in builder_variants():
         store = ParamStore("double")
-        block = make_block(store, "b", spec, seed=0)
+        block = Block(store, "b", spec, seed=0)
         tape = Tape(store, training=True)
-        x = tape.constant(Tensor(np.ones((2, spec.in_channels, 4, 4))))
+        x = tape.constant(np.ones((2, spec.in_channels, 4, 4)))
         block(tape, (x, x) if spec.family == "dfn-merge-run" else x)
         lines.append(f"[{label}]")
         lines.append("params " + " ".join(store.names()))

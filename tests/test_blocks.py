@@ -7,10 +7,9 @@ import pytest
 
 from propmod import LinearModuleError
 from propmod.autograd import ParamStore, Tape, seeded_rng
-from propmod.blocks import (BlockSpec, build_merge_run, build_plain_module,
+from propmod.blocks import (Block, BlockSpec, build_merge_run, build_plain_module,
                             build_postact_building, build_preact_bottleneck,
-                            build_preact_building, make_block)
-from propmod.tensor import Tensor
+                            build_preact_building)
 
 
 class TestPlainModule:
@@ -95,6 +94,10 @@ class TestSerialization:
         assert len(names) <= 9
         assert not names & {"conv_count", "bn_mask", "relu_mask_b", "bn_mask_b"}
 
+    def test_linear_ok_serialized(self):
+        assert build_plain_module("2:0", linear_ok=True).to_line().endswith(" linear_ok=1")
+        assert "linear_ok" not in build_plain_module("2:1").to_line()
+
     def test_masks_encoded_as_bits(self):
         line = build_preact_building("first").to_line()
         assert "relu=01" in line and "bn=11" in line
@@ -103,9 +106,9 @@ class TestSerialization:
 class TestBlockForward:
     def run_block(self, spec, in_shape=(2, 16, 8, 8), seed=0):
         store = ParamStore("double")
-        block = make_block(store, "stage1.block0", spec, seed=seed)
+        block = Block(store, "stage1.block0", spec, seed=seed)
         tape = Tape(store, training=True)
-        x = tape.constant(Tensor(seeded_rng(seed, "block-x").standard_normal(in_shape)))
+        x = tape.constant(seeded_rng(seed, "block-x").standard_normal(in_shape))
         if spec.family == "dfn-merge-run":
             out = block(tape, (x, x))
             return [o.value.data for o in out], tape
@@ -134,13 +137,13 @@ class TestBlockForward:
         # zero out branch weights: a pre-activation block reduces to identity
         store = ParamStore("double")
         spec = build_preact_building("none")
-        block = make_block(store, "stage1.block0", spec, seed=0)
+        block = Block(store, "stage1.block0", spec, seed=0)
         for name in store.names():
             if name.endswith("conv1.weight") or name.endswith("conv2.weight"):
                 store.set_value(name, np.zeros(store[name].value.shape))
         tape = Tape(store, training=True)
         x = seeded_rng(1, "skip").standard_normal((2, 16, 8, 8))
-        out = block(tape, tape.constant(Tensor(x)))
+        out = block(tape, tape.constant(x))
         np.testing.assert_array_equal(out.value.data, x)
 
     def test_dropping_bn_and_relu_leaves_bare_convs(self):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import propmod
-from propmod.checkpoint import save_tensors
+from propmod.checkpoint import load_tensors, save_tensors
 from propmod.cli import _cell_args, _run_id, _train_configs, build_parser, main
 from propmod.data import load_or_compute_norm_stats
 from propmod.networks import NetworkConfig, build_network, format_manifest
@@ -92,6 +92,50 @@ class TestExitCodes:
         code = main(["train", "--arch", "plain", "--depth", "8", "--dataset", "cifar10",
                      "--data-dir", str(tmp_path), "--epochs", "1"])
         assert code == 3
+
+    def test_unreadable_checkpoint_exits_three_naming_it(self, tmp_path, capsys):
+        missing = tmp_path / "missing.bin"
+        synthetic = ["--dataset", "synthetic", "--synthetic-count", "16"]
+        assert main(["eval", *PLAIN8, *synthetic, "--ckpt", str(missing)]) == 3
+        assert main(["train", *PLAIN8, *synthetic, "--epochs", "1", "--out", str(tmp_path),
+                     "--resume", str(missing)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"checkpoint error: {missing}: cannot read checkpoint: "
+                       "No such file or directory"] * 2
+
+    def test_unwritable_output_exits_one_naming_it(self, tmp_path, capsys):
+        taken = tmp_path / "a_file"
+        taken.write_text("")
+        assert main(["audit", *PLAIN8, "--out", str(tmp_path / "no_such_dir" / "a.csv")]) == 1
+        assert main(["train", *PLAIN8, "--dataset", "synthetic", "--synthetic-count", "16",
+                     "--epochs", "1", "--out", str(taken)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: cannot write {tmp_path / 'no_such_dir' / 'a.csv'}: "
+                       "No such file or directory",
+                       f"error: cannot write {taken / 'plain-d8-paired-s0'}: Not a directory"]
+
+    def test_checkpoint_tensor_of_wrong_shape_exits_three_naming_it(self, tmp_path, capsys):
+        synthetic = ["--dataset", "synthetic", "--synthetic-count", "16"]
+        assert main(["train", *PLAIN8, *synthetic, "--epochs", "1", "--batch-size", "16",
+                     "--out", str(tmp_path)]) == 0
+        ckpt = tmp_path / "plain-d8-paired-s0" / "ckpt-final.bin"
+        tensors = load_tensors(ckpt)
+        tensors["stage1.block0.conv1.weight"] = np.zeros((16, 16, 1, 1), np.float32)
+        save_tensors(ckpt, tensors)
+        capsys.readouterr()
+        assert main(["eval", *PLAIN8, *synthetic, "--ckpt", str(ckpt)]) == 3
+        assert ("tensor 'stage1.block0.conv1.weight' shape (16, 16, 1, 1) does not match "
+                "model shape (16, 16, 3, 3)") in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    def test_divergence_exits_two(self, tmp_path, capsys):
+        code = main(["train", *PLAIN8, "--dataset", "synthetic", "--synthetic-count", "16",
+                     "--batch-size", "8", "--epochs", "1", "--no-augment", "--lr", "1e30",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == ("numerical failure: loss became non-finite at "
+                                           "epoch 0; no checkpoint written\n")
+        assert [p.name for p in (tmp_path / "plain-d8-paired-s0").iterdir()] == ["manifest.txt"]
 
     def test_empty_archive_exits_three_naming_it(self, cifar10_dir, tmp_path, capsys):
         empty = cifar10_dir / "data_batch_2.bin"

@@ -17,6 +17,14 @@ from archives import link_archives, write_cifar100_archives
 BLOCK = data_module._BLOCK_RECORDS
 
 
+def test_data_dir_defaults_to_data(monkeypatch):
+    monkeypatch.delenv(data_module.DATA_DIR_ENV, raising=False)
+    assert data_module.resolve_data_dir() == Path("data")
+    monkeypatch.setenv(data_module.DATA_DIR_ENV, "/elsewhere")
+    assert data_module.resolve_data_dir() == Path("/elsewhere")
+    assert data_module.resolve_data_dir("given") == Path("given")
+
+
 class TestCifarLoader:
     def test_counts_and_label_ranges(self, cifar10_dir):
         train = load_cifar(cifar10_dir, "cifar10", "train")

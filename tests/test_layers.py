@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from propmod import ParamStore, Tensor
+from propmod import ParamStore, ShapeError
 from propmod.autograd import Tape, seeded_rng
 from propmod.layers import (BatchNorm2d, BatchNormState, Conv2d, Linear, batchnorm_eval,
                             batchnorm_train, batchnorm_train_backward, bn_affine, he_normal,
@@ -21,7 +21,7 @@ def bn_fixture(channels=3, precision="double"):
 class TestBatchNorm:
     def test_constant_input_gives_zeros(self):
         store, bn = bn_fixture()
-        x = Tensor(np.full((4, 3, 5, 5), 2.5))
+        x = np.full((4, 3, 5, 5), 2.5)
         tape = Tape(store, training=True)
         out = bn(tape, tape.constant(x))
         np.testing.assert_allclose(out.value.data, 0.0, atol=1e-12)
@@ -30,7 +30,7 @@ class TestBatchNorm:
         store, bn = bn_fixture()
         store.set_value("bn.gamma", np.zeros(3))
         store.set_value("bn.beta", np.array([1.0, -2.0, 0.5]))
-        x = Tensor(seeded_rng(0, "bn").standard_normal((2, 3, 4, 4)))
+        x = seeded_rng(0, "bn").standard_normal((2, 3, 4, 4))
         tape = Tape(store, training=True)
         out = bn(tape, tape.constant(x)).value.data
         for c, expect in enumerate([1.0, -2.0, 0.5]):
@@ -38,7 +38,7 @@ class TestBatchNorm:
 
     def test_train_statistics(self):
         store, bn = bn_fixture()
-        x = Tensor(seeded_rng(1, "bn").standard_normal((8, 3, 6, 6)) * 3 + 1)
+        x = seeded_rng(1, "bn").standard_normal((8, 3, 6, 6)) * 3 + 1
         tape = Tape(store, training=True)
         out = bn(tape, tape.constant(x)).value.data
         for c in range(3):
@@ -58,21 +58,22 @@ class TestBatchNorm:
         outs = []
         for x in (x1, x2):
             tape = Tape(store, training=False)
-            outs.append(bn(tape, tape.constant(Tensor(x))).value.data)
-        scale, _ = bn.state().eval_affine()
+            outs.append(bn(tape, tape.constant(x)).value.data)
+        scale, _ = bn_affine(*(store[f"bn.{k}"].value.data
+                               for k in ("gamma", "beta", "running_mean", "running_var")))
         np.testing.assert_allclose(outs[0] - outs[1], (x1 - x2) * scale[None, :, None, None],
                                    rtol=1e-10, atol=1e-12)
 
     def test_single_slot_batch_rejected(self):
         store, bn = bn_fixture()
         tape = Tape(store, training=True)
-        x = tape.constant(Tensor(np.ones((1, 3, 1, 1))))
+        x = tape.constant(np.ones((1, 3, 1, 1)))
         with pytest.raises(ValueError):
             bn(tape, x)
 
     def test_running_stats_update_only_on_commit(self):
         store, bn = bn_fixture()
-        x = Tensor(seeded_rng(3, "bn").standard_normal((4, 3, 4, 4)) + 2.0)
+        x = seeded_rng(3, "bn").standard_normal((4, 3, 4, 4)) + 2.0
         tape = Tape(store, training=True)
         bn(tape, tape.constant(x))
         np.testing.assert_array_equal(store["bn.running_mean"].value.data, np.zeros(3))
@@ -80,14 +81,23 @@ class TestBatchNorm:
         rm = store["bn.running_mean"].value.data
         assert np.all(rm != 0)
         # momentum 0.9 on the old value, 0.1 on the batch mean
-        np.testing.assert_allclose(rm, 0.1 * x.data.mean(axis=(0, 2, 3)), rtol=1e-12)
+        np.testing.assert_allclose(rm, 0.1 * x.mean(axis=(0, 2, 3)), rtol=1e-12)
 
     def test_eval_mode_ignores_batch(self):
         store, bn = bn_fixture()
-        x = Tensor(seeded_rng(4, "bn").standard_normal((4, 3, 4, 4)) + 7.0)
+        x = seeded_rng(4, "bn").standard_normal((4, 3, 4, 4)) + 7.0
         tape = Tape(store, training=False)
         bn(tape, tape.constant(x))
         assert not tape.staged_updates
+
+    def test_channel_mismatch_names_layer(self):
+        store, bn = bn_fixture()
+        for training in (True, False):
+            tape = Tape(store, training=training)
+            with pytest.raises(ShapeError) as err:
+                bn(tape, tape.constant(np.ones((2, 4, 3, 3))))
+            assert str(err.value) == ("bn: expected NCHW input with 3 channels, "
+                                      "got shape (2, 4, 3, 3)")
 
     def test_state_invariants(self):
         with pytest.raises(ValueError):
@@ -216,7 +226,7 @@ class TestSoftmaxCrossEntropy:
     def run_loss(self, logits, labels):
         store = ParamStore("double")
         tape = Tape(store)
-        node = tape.constant(Tensor(np.asarray(logits, dtype=np.float64)))
+        node = tape.constant(np.asarray(logits, dtype=np.float64))
         return float(softmax_cross_entropy(tape, node, np.asarray(labels)).value.data)
 
     def test_uniform_logits(self):
@@ -244,6 +254,16 @@ class TestSoftmaxCrossEntropy:
         labels = rng.integers(0, 10, size=4)
         shifted = logits + rng.standard_normal((4, 1)) * 50
         assert abs(self.run_loss(logits, labels) - self.run_loss(shifted, labels)) < 1e-10
+
+    def test_logits_of_wrong_rank_rejected(self):
+        with pytest.raises(ShapeError) as err:
+            self.run_loss(np.zeros((2, 10, 1)), [0, 1])
+        assert str(err.value) == "logits must be (N, K), got shape (2, 10, 1)"
+
+    def test_labels_of_wrong_shape_rejected(self):
+        with pytest.raises(ShapeError) as err:
+            self.run_loss(np.zeros((2, 10)), [[0, 1]])
+        assert str(err.value) == "labels shape (1, 2) does not match logits batch 2"
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):

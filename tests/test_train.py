@@ -1,5 +1,6 @@
 """Optimizer exactness, fit semantics, checkpoints, determinism."""
 
+import struct
 import weakref
 
 import numpy as np
@@ -13,7 +14,8 @@ from propmod.checkpoint import (load_tensors, load_training_state, save_tensors,
                                 save_training_state)
 from propmod.train import SGD
 
-from archives import CKPT_COUNT_AT, CKPT_DIM_AT, write_overrunning_checkpoint
+from archives import (CKPT_COUNT_AT, CKPT_CRC_AT, CKPT_DIM_AT, CKPT_DTYPE_AT, CKPT_VERSION_AT,
+                      write_overrunning_checkpoint, write_patched_checkpoint)
 
 
 def scalar_nesterov_simulator(grads, lr, momentum, wd, w0=1.0):
@@ -177,6 +179,18 @@ class TestFit:
         with pytest.raises(NumericalFailure):
             fit(model, tiny_data(16), None, cfg)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    def test_divergence_names_last_good_checkpoint(self, tmp_path):
+        data = tiny_data(32)
+        fit(tiny_model(), data, None, TrainConfig(epochs=2, batch_size=16, augment=False),
+            out_dir=tmp_path, stop_after=1)
+        ckpt = tmp_path / "ckpt-final.bin"
+        with pytest.raises(NumericalFailure) as err:
+            fit(tiny_model(), data, None,
+                TrainConfig(epochs=2, batch_size=16, base_lr=1e30, augment=False),
+                out_dir=tmp_path, resume_from=ckpt)
+        assert str(err.value) == f"loss became non-finite at epoch 1; last good checkpoint {ckpt}"
+
     def test_previous_step_graph_released(self):
         # the tape of step k is gone by the time step k + 1 starts its forward
         model = tiny_model()
@@ -216,8 +230,7 @@ class TestEvaluate:
                 for row, i in enumerate(idx):
                     logits[row, data.labels[i]] = 10.0
                 tape = Tape(None, training=False)
-                from propmod.tensor import Tensor
-                return tape.constant(Tensor(logits)), tape
+                return tape.constant(logits), tape
 
         assert evaluate(Oracle(), data) == 1.0
 
@@ -227,9 +240,8 @@ class TestEvaluate:
 
         class Uniform:
             def forward(self, x, training=False):
-                from propmod.tensor import Tensor
                 tape = Tape(None, training=False)
-                return tape.constant(Tensor(np.zeros((len(x), 10), dtype=np.float32))), tape
+                return tape.constant(np.zeros((len(x), 10), dtype=np.float32)), tape
 
         assert evaluate(Uniform(), data) == pytest.approx(0.1)
 
@@ -273,6 +285,32 @@ class TestCheckpoints:
             load_tensors(p)
         assert str(p) in str(err.value) and named in str(err.value)
 
+    @pytest.mark.parametrize("at,patch,named", [
+        (CKPT_VERSION_AT, struct.pack("<I", 2), "version 2 unsupported (expected 1)"),
+        (CKPT_DTYPE_AT, bytes([7]), "tensor 'w' has unknown dtype code 7"),
+        (CKPT_CRC_AT, bytes(3), "payload length mismatch at byte 25"),
+    ], ids=["version", "dtype", "trailing"])
+    def test_malformed_checkpoint_names_fault(self, at, patch, named, tmp_path):
+        p = write_patched_checkpoint(tmp_path / "x.bin", at, patch)
+        with pytest.raises(CheckpointError) as err:
+            load_tensors(p)
+        assert str(err.value) == f"{p}: {named}"
+
+    def test_unsupported_dtype_names_tensor(self, tmp_path):
+        with pytest.raises(CheckpointError) as err:
+            save_tensors(tmp_path / "x.bin", {"i": np.ones(2, dtype=np.int32)})
+        assert "tensor 'i': unsupported dtype int32" in str(err.value)
+        assert not (tmp_path / "x.bin").exists()
+
+    def test_non_contiguous_round_trip(self, tmp_path):
+        grid = np.arange(24, dtype=np.float64).reshape(4, 6)
+        views = {"strided": grid[:, ::2], "transposed": grid.T}
+        save_tensors(tmp_path / "x.bin", views)
+        loaded = load_tensors(tmp_path / "x.bin")
+        for name, view in views.items():
+            assert not view.flags.c_contiguous
+            np.testing.assert_array_equal(loaded[name], view)
+
     def test_wrong_model_shape_names_tensor(self, tmp_path):
         model8 = tiny_model()
         p = tmp_path / "m.bin"
@@ -282,6 +320,28 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError) as err:
             load_training_state(p, bigger)
         assert "stage" in str(err.value) or "missing" in str(err.value)
+
+    @pytest.mark.parametrize("edit,named", [
+        (lambda t: t.pop("opt.velocity.head.fc.bias"),
+         "tensor 'opt.velocity.head.fc.bias' missing from checkpoint"),
+        (lambda t: t.update({"opt.velocity.head.fc.scale": np.zeros(10, np.float32)}),
+         "tensor 'opt.velocity.head.fc.scale' is the velocity of no trainable parameter"),
+        (lambda t: t.update({"opt.velocity.head.fc.weight": np.zeros(1, np.float32)}),
+         "tensor 'opt.velocity.head.fc.weight' shape (1,) does not match model shape (10, 8)"),
+    ], ids=["missing", "unknown", "shape"])
+    def test_resume_refuses_velocities_not_one_per_parameter(self, edit, named, tmp_path):
+        data, cfg = tiny_data(16), TrainConfig(epochs=2, batch_size=16, seed=5)
+        fit(tiny_model(), data, None, cfg, out_dir=tmp_path, stop_after=1)
+        tensors = load_tensors(tmp_path / "ckpt-final.bin")
+        edit(tensors)
+        save_tensors(tmp_path / "edited.bin", tensors)
+        model = tiny_model()
+        before = model.store.state_arrays()
+        with pytest.raises(CheckpointError) as err:
+            fit(model, data, None, cfg, resume_from=tmp_path / "edited.bin")
+        assert named in str(err.value)
+        for name, arr in model.store.state_arrays().items():  # refused before any load
+            np.testing.assert_array_equal(arr, before[name])
 
     def test_save_load_accuracy_identical(self, tmp_path):
         model = tiny_model(seed=2)
