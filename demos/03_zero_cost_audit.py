@@ -7,15 +7,15 @@ the recorded forward tape, so the numbers describe what actually executes.
 Run:  python demos/03_zero_cost_audit.py
 """
 
-from propmod import NetworkConfig, audit, build_network
+from propmod import VARIANTS, NetworkConfig, audit, build_network
 
 CASES = {
     ("plain", 38): [("paired", dict(ratio="1:1")), ("2:1", dict(ratio="2:1"))],
     ("resnet-preact", 62): [("paired", dict(removal="none")),
                             ("first", dict(removal="first")),
                             ("second", dict(removal="second"))],
-    ("resnet-preact-bottleneck", 110): [(f"type{k}", dict(removal=str(k)))
-                                        for k in range(4)],
+    ("resnet-preact-bottleneck", 110): [(f"type{k}", dict(removal=removal)) for k, removal
+                                        in enumerate(VARIANTS["resnet-preact-bottleneck"][1])],
 }
 
 for (family, depth), variants in CASES.items():

@@ -10,9 +10,7 @@ the variants.
 
 from .audit import CollapseReport, RatioReport, audit, collapse_check, compose_kernels
 from .autograd import GradcheckResult, Node, ParamStore, Tape, gradcheck, seeded_rng
-from .blocks import (Block, BlockSpec, LinearModuleError, build_merge_run, build_plain_module,
-                     build_postact_building, build_preact_bottleneck,
-                     build_preact_building)
+from .blocks import VARIANTS, Block, BlockSpec, LinearModuleError, block_spec
 from .checkpoint import (CheckpointError, load_tensors, load_training_state,
                          save_tensors, save_training_state)
 from .data import (DataError, DatasetHandle, augment_image, hflip, iter_batches,

@@ -4,11 +4,13 @@ A :class:`BlockSpec` pins down one block: its family, its shape, and a
 boolean mask saying which conv positions keep their ReLU; the mask's length
 is the number of convolutions it stacks, and the BN masks follow from it.
 A paired block has every mask entry true (1:1 conv:ReLU); clearing entries
-yields the proportional variants. Removing a ReLU never touches parameter
-shapes, which is what makes the zero-extra-cost audit meaningful; the
-optional ``drop_bn_with_relu`` flag additionally removes the batch norm
-adjacent to each removed ReLU, the configuration under which two stacked
-convolutions legally collapse into one.
+yields the proportional variants. :func:`block_spec` makes the spec of a
+family and a variant, and ``VARIANTS`` lists the masks of every family but
+the plain stack. Removing a ReLU never touches parameter shapes, which is
+what makes the zero-extra-cost audit meaningful; the optional
+``drop_bn_with_relu`` flag additionally removes the batch norm adjacent to
+each removed ReLU, the configuration under which two stacked convolutions
+legally collapse into one.
 
 Mask position conventions (position i belongs to conv i):
   * post pairing: the ReLU following conv i (for residual post blocks,
@@ -33,15 +35,24 @@ from math import gcd
 from .autograd import ParamStore, Tape
 from .layers import BatchNorm2d, Conv2d
 
-FAMILIES = (
-    "plain-stack",
-    "resnet-building",
-    "resnet-preact-building",
-    "resnet-preact-bottleneck",
-    "dfn-merge-run",
-)
-
 PAIRINGS = ("post", "pre")
+
+# Each non-plain block family's pairing and the ReLU mask of each of its
+# variants, the paired "none" first. Building blocks' "first" and "second" drop
+# the ReLU of mask position 0 or 1: in a post-activation block, position 1 is
+# the ReLU after the skip addition. The bottleneck's types 1-3 drop its first,
+# second or third ReLU (the 3:2 variants). Merge-and-run's "type1" drops branch
+# 0's ReLU after the addition and "type2" the one before it (mid-branch).
+VARIANTS = {
+    "resnet-building": ("post", {"none": (True, True), "first": (False, True),
+                                 "second": (True, False)}),
+    "resnet-preact-building": ("pre", {"none": (True, True), "first": (False, True),
+                                       "second": (True, False)}),
+    "resnet-preact-bottleneck": ("pre", {"none": (True, True, True), "1": (False, True, True),
+                                         "2": (True, False, True), "3": (True, True, False)}),
+    "dfn-merge-run": ("post", {"none": (True, True), "type1": (True, False),
+                               "type2": (False, True)}),
+}
 
 
 class LinearModuleError(ValueError):
@@ -78,14 +89,17 @@ class BlockSpec:
     linear_ok: bool = False
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family != "plain-stack" and self.family not in VARIANTS:
             raise ValueError(f"unknown block family {self.family!r}")
         if self.pairing not in PAIRINGS:
             raise ValueError(f"unknown pairing {self.pairing!r}")
-        expected = {"resnet-building": 2, "resnet-preact-building": 2,
-                    "resnet-preact-bottleneck": 3, "dfn-merge-run": 2}
-        if self.family in expected and self.conv_count != expected[self.family]:
-            raise ValueError(f"{self.family} blocks have {expected[self.family]} convs per stack")
+        if self.family in VARIANTS:
+            pairing, masks = VARIANTS[self.family]
+            if self.pairing != pairing:
+                raise ValueError(f"{self.family} blocks take {pairing} pairing, "
+                                 f"got {self.pairing!r}")
+            if self.conv_count != len(masks["none"]):
+                raise ValueError(f"{self.family} blocks have {len(masks['none'])} convs per stack")
         if not any(self.relu_mask) and not any(self.relu_mask_b or ()) and not self.linear_ok:
             raise LinearModuleError(
                 f"{self.family}: all ReLUs removed makes a linear module; "
@@ -136,108 +150,45 @@ class BlockSpec:
                        stride=stride, mid_channels=mid_channels or self.mid_channels)
 
 
-def _spec(family: str, masks: dict, removal, drop_bn_with_relu: bool,
-          allowed: str | None = None, **fields) -> BlockSpec:
-    """The spec whose ``relu_mask`` is ``masks[removal]``."""
-    if removal not in masks:
-        raise ValueError(f"{allowed or f'removal must be one of {sorted(masks)}'}, got {removal!r}")
-    return BlockSpec(family=family, relu_mask=masks[removal],
-                     drop_bn_with_relu=drop_bn_with_relu, **fields)
+def block_spec(family: str, variant: str, pairing: str | None = None, *,
+               in_channels: int = 16, out_channels: int = 16, stride: int = 1,
+               mid_channels: int | None = None, drop_bn_with_relu: bool = False,
+               linear_ok: bool = False) -> BlockSpec:
+    """The spec of one ``family`` block with the ReLUs that ``variant`` keeps.
 
-
-def build_plain_module(ratio, pairing: str = "post", *, in_channels: int = 16,
-                       out_channels: int = 16, stride: int = 1,
-                       linear_ok: bool = False, drop_bn_with_relu: bool = False) -> BlockSpec:
-    """N:M conv:ReLU stack for plain networks.
-
-    The 2:1 module keeps only the trailing ReLU of each conv pair; in
-    general the first N-M positions of the reduced ratio lose theirs. A
-    reduced N of 1 is realized as two convs (2:2M): the paired 1:1 module is
-    the conventional two-conv stack with both ReLUs present. M = 0 is the
-    degenerate all-linear stack and is rejected unless explicitly allowed.
+    A plain stack's variant is an N:M conv:ReLU ratio: the first N-M positions
+    of the reduced ratio lose their ReLU, so 2:1 keeps only the trailing ReLU
+    of each conv pair. A reduced N of 1 is realized as two convs (2:2M), so
+    the paired 1:1 module is the conventional two-conv stack. M = 0 is the
+    degenerate all-linear stack, refused unless ``linear_ok``. The plain stack
+    takes either pairing (default post). Any other family's variant names one
+    of its ``VARIANTS`` masks, and its pairing is the one listed there: any
+    other is refused.
     """
-    n, m = parse_ratio(ratio)
-    if not (n >= m >= 0):
-        raise ValueError(f"ratio requires N >= M >= 0, got {n}:{m}")
-    if n > 4:
-        raise ValueError(f"ratio N is capped at 4, got {n}")
-    if n == 0:
-        raise ValueError("ratio N must be positive")
-    if m == 0 and not linear_ok:
-        raise LinearModuleError(
-            f"ratio {n}:0 removes every ReLU: the stack becomes a linear module"
-        )
-    n, m = reduce_ratio(n, m)
-    if n == 1:
-        n, m = 2, 2 * m
-    mask = (False,) * (n - m) + (True,) * m
-    return _spec("plain-stack", {(n, m): mask}, (n, m), drop_bn_with_relu, pairing=pairing,
-                 in_channels=in_channels, out_channels=out_channels, stride=stride,
-                 linear_ok=linear_ok)
-
-
-_BUILDING_MASKS = {"none": (True, True), "first": (False, True), "second": (True, False)}
-
-
-def build_preact_building(removal: str = "none", *, in_channels: int = 16,
-                          out_channels: int = 16, stride: int = 1,
-                          drop_bn_with_relu: bool = False) -> BlockSpec:
-    """Identity-skip building block with BN -> ReLU -> conv twice.
-
-    ``removal='first'`` deletes the ReLU ahead of conv 1 (the 2:1 variant),
-    ``'second'`` the one ahead of conv 2.
-    """
-    return _spec("resnet-preact-building", _BUILDING_MASKS, removal, drop_bn_with_relu,
-                 pairing="pre", in_channels=in_channels, out_channels=out_channels,
-                 stride=stride)
-
-
-def build_postact_building(removal: str = "none", *, in_channels: int = 16,
-                           out_channels: int = 16, stride: int = 1,
-                           drop_bn_with_relu: bool = False) -> BlockSpec:
-    """conv -> BN -> ReLU -> conv -> BN residual block with post-add ReLU.
-
-    Position 0 is the mid-block ReLU, position 1 the ReLU after the skip
-    addition; either may be removed.
-    """
-    return _spec("resnet-building", _BUILDING_MASKS, removal, drop_bn_with_relu,
-                 pairing="post", in_channels=in_channels, out_channels=out_channels,
-                 stride=stride)
-
-
-_BOTTLENECK_MASKS = {t: tuple(i != t - 1 for i in range(3)) for t in range(4)}
-
-
-def build_preact_bottleneck(removal_type: int = 0, *, in_channels: int = 16,
-                            mid_channels: int = 16, out_channels: int = 64,
-                            stride: int = 1, drop_bn_with_relu: bool = False) -> BlockSpec:
-    """1x1 / 3x3 / 1x1 pre-activation bottleneck.
-
-    ``removal_type`` 0 keeps all three ReLUs (1:1); types 1-3 remove the
-    first, second, or third, giving the 3:2 variants.
-    """
-    return _spec("resnet-preact-bottleneck", _BOTTLENECK_MASKS, removal_type,
-                 drop_bn_with_relu, "removal_type must be 0..3", pairing="pre",
-                 in_channels=in_channels, out_channels=out_channels,
-                 mid_channels=mid_channels, stride=stride)
-
-
-_MERGE_RUN_MASKS = {"none": (True, True), "type1": (True, False), "type2": (False, True)}
-
-
-def build_merge_run(removal: str = "none", *, in_channels: int = 16,
-                    out_channels: int = 16, stride: int = 1,
-                    drop_bn_with_relu: bool = False) -> BlockSpec:
-    """Dual-branch residual block with averaged-and-redistributed skips.
-
-    Each branch runs conv -> BN -> ReLU -> conv -> BN, adds the averaged
-    skip, and applies a trailing ReLU. ``type1`` removes the ReLU after the
-    elementwise add in branch 0; ``type2`` removes the one before it (the
-    mid-branch ReLU). Branch 1 always stays paired.
-    """
-    return _spec("dfn-merge-run", _MERGE_RUN_MASKS, removal, drop_bn_with_relu,
-                 pairing="post", in_channels=in_channels, out_channels=out_channels,
-                 stride=stride)
+    if family == "plain-stack":
+        n, m = parse_ratio(variant)
+        if not (4 >= n >= max(m, 1) and m >= 0):
+            raise ValueError(f"plain-stack ratio must be N:M with 1 <= N <= 4 and "
+                             f"0 <= M <= N, got {variant!r}")
+        if m == 0 and not linear_ok:
+            raise LinearModuleError(
+                f"ratio {n}:0 removes every ReLU: the stack becomes a linear module"
+            )
+        n, m = reduce_ratio(n, m)
+        if n == 1:
+            n, m = 2, 2 * m
+        relu_mask = (False,) * (n - m) + (True,) * m
+        own = "post"
+    elif family in VARIANTS:
+        own, masks = VARIANTS[family]
+        if variant not in masks:
+            raise ValueError(f"{family} removal must be one of {', '.join(masks)}; "
+                             f"got {variant!r}")
+        relu_mask = masks[variant]
+    else:
+        raise ValueError(f"unknown block family {family!r}")
+    return BlockSpec(family, relu_mask, pairing or own, in_channels, out_channels, stride,
+                     mid_channels, drop_bn_with_relu, linear_ok)
 
 
 # -- forward assembly ---------------------------------------------------------

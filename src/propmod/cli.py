@@ -27,7 +27,7 @@ from .data import DataError, load_cifar, make_synthetic
 from .layers import BatchNormState
 from .networks import (FAMILIES, NetworkConfig, build_network, config_from_manifest_header,
                        format_manifest, parse_manifest)
-from .train import NumericalFailure, TrainConfig, aggregate_runs, evaluate, fit
+from .train import NumericalFailure, TrainConfig, aggregate_runs, evaluate, fit, resume_state
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -213,11 +213,14 @@ def _writing(path):
 
 
 def _train_run(args, run_name=None):
-    """Load data, build the network, write the manifest and fit one run in
-    ``<out>/<run_name or run id>``; returns (run directory, RunRecord)."""
+    """Load data, build the network, check the --resume checkpoint, write the
+    manifest and fit one run in ``<out>/<run_name or run id>``; returns (run
+    directory, RunRecord)."""
     net_cfg, cfg = _train_configs(args)
     train_data, test_data = _load(args, "train"), _load(args, "test")
     model = build_network(net_cfg)
+    if args.resume is not None:  # a checkpoint fit would refuse makes no run directory
+        resume_state(args.resume, model, cfg.seed)
     out_dir = Path(args.out) / (run_name or _run_id(net_cfg))
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -14,16 +14,19 @@ manifest records that note.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autograd import ParamStore, Tape
-from .blocks import (Block, BlockSpec, build_merge_run, build_plain_module,
-                     build_preact_bottleneck, build_preact_building)
+from .blocks import Block, BlockSpec, block_spec
 from .layers import BatchNorm2d, Conv2d, Linear, softmax_cross_entropy
 
-FAMILIES = ("plain", "resnet-preact", "resnet-preact-bottleneck", "dfn-mr1")
+# the block family each network family stacks
+_BLOCK_FAMILIES = {"plain": "plain-stack", "resnet-preact": "resnet-preact-building",
+                   "resnet-preact-bottleneck": "resnet-preact-bottleneck",
+                   "dfn-mr1": "dfn-merge-run"}
+FAMILIES = tuple(_BLOCK_FAMILIES)
 
 _PLAIN_84_STAGES = (14, 14, 13)
 
@@ -45,6 +48,8 @@ class NetworkConfig:
     drop_bn_with_relu: bool = False
     seed: int = 0
     precision: str = "single"
+    # the shape-free spec of every block; building it refuses a variant the family lacks
+    template: BlockSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -55,39 +60,34 @@ class NetworkConfig:
             raise ValueError("stage_widths must name three stages")
         if self.depth is None and self.stage_blocks is None:
             raise ValueError("give either a depth or explicit stage_blocks")
-        # each family has one ReLU variant field; the others must keep their paired value
-        unused = {"removal": "none"} if self.family == "plain" else {"ratio": "1:1",
-                                                                    "pairing": "post"}
-        for name, paired in unused.items():
-            if getattr(self, name) != paired:
+        # each family has one ReLU variant field, whose default is its paired
+        # module; the other fields must keep their defaults
+        plain = self.family == "plain"
+        for name in ("removal",) if plain else ("ratio", "pairing"):
+            default = getattr(NetworkConfig, name)
+            if getattr(self, name) != default:
                 raise ValueError(f"the {self.family} family has no {name} setting: "
-                                 f"got {getattr(self, name)!r}, expected {paired!r}")
+                                 f"got {getattr(self, name)!r}, expected {default!r}")
+        object.__setattr__(self, "template", block_spec(
+            _BLOCK_FAMILIES[self.family], self.ratio if plain else self.removal,
+            self.pairing if plain else None, drop_bn_with_relu=self.drop_bn_with_relu))
 
     @property
     def variant(self) -> str | None:
-        """The ReLU variant: the plain family's ratio, another's removal; None if paired."""
-        value = self.ratio if self.family == "plain" else str(self.removal)
-        return None if value in ("1:1", "none", "0") else value
+        """The ReLU variant: the plain family's ratio, another's removal; None if
+        it is the field's default, the paired module."""
+        name = "ratio" if self.family == "plain" else "removal"
+        value = getattr(self, name)
+        return None if value == getattr(NetworkConfig, name) else value
 
 
-def _template_block(cfg: NetworkConfig) -> BlockSpec:
-    """Shape-free block spec for the configured family and removal settings."""
-    if cfg.family == "plain":
-        return build_plain_module(cfg.ratio, cfg.pairing, drop_bn_with_relu=cfg.drop_bn_with_relu)
-    if cfg.family == "resnet-preact":
-        return build_preact_building(str(cfg.removal), drop_bn_with_relu=cfg.drop_bn_with_relu)
-    if cfg.family == "resnet-preact-bottleneck":
-        return build_preact_bottleneck(int(cfg.variant or 0),
-                                       drop_bn_with_relu=cfg.drop_bn_with_relu)
-    return build_merge_run(str(cfg.removal), drop_bn_with_relu=cfg.drop_bn_with_relu)
-
-
-def resolve_stage_blocks(cfg: NetworkConfig, template: BlockSpec):
+def resolve_stage_blocks(cfg: NetworkConfig):
     """Per-stage block counts for the requested depth, plus an optional note."""
     if cfg.stage_blocks is not None:
         return tuple(cfg.stage_blocks), None
-    span = 3 * template.conv_count
-    if cfg.family == "plain" and cfg.depth == 84 and template.conv_count == 2:
+    convs = cfg.template.conv_count
+    span = 3 * convs
+    if cfg.family == "plain" and cfg.depth == 84 and convs == 2:
         note = "depth 84 is not 6n+2; realized as stage module counts (14,14,13)"
         return _PLAIN_84_STAGES, note
     trunk = cfg.depth - 2
@@ -190,8 +190,8 @@ class Model:
 
 
 def build_network(cfg: NetworkConfig) -> Model:
-    template = _template_block(cfg)
-    stage_blocks, note = resolve_stage_blocks(cfg, template)
+    template = cfg.template
+    stage_blocks, note = resolve_stage_blocks(cfg)
     store = ParamStore(cfg.precision)
     seed = cfg.seed
 

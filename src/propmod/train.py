@@ -156,6 +156,16 @@ def evaluate(model, data: DatasetHandle, batch_size: int = 256) -> float:
     return correct / len(data)
 
 
+def resume_state(path, model, seed: int) -> dict:
+    """``load_training_state`` of checkpoint ``path`` into ``model``, refused
+    unless the checkpoint was written with ``seed``."""
+    state = load_training_state(path, model)
+    if state["seed"] != seed:
+        raise ValueError(f"checkpoint {path} was written with seed {state['seed']}, "
+                         f"but this run uses seed {seed}")
+    return state
+
+
 def fit(model, train_data: DatasetHandle, test_data: DatasetHandle | None,
         cfg: TrainConfig, out_dir=None, resume_from=None, stop_after=None) -> RunRecord:
     """Run the full schedule; returns the record and writes checkpoints/CSV.
@@ -177,10 +187,7 @@ def fit(model, train_data: DatasetHandle, test_data: DatasetHandle | None,
     start_epoch, best_acc = 0, -1.0
     last_ckpt = resume_from  # the newest checkpoint of this run's state
     if resume_from is not None:
-        state = load_training_state(resume_from, model)
-        if state["seed"] != cfg.seed:
-            raise ValueError(f"checkpoint {resume_from} was written with seed {state['seed']}, "
-                             f"but this run uses seed {cfg.seed}")
+        state = resume_state(resume_from, model, cfg.seed)
         optimizer.velocities = state["velocities"]
         start_epoch = state["epoch"] + 1
         best_acc = state["best_acc"]

@@ -136,7 +136,7 @@ class TestAcceptance:
             ("plain", 38): [dict(ratio="1:1"), dict(ratio="2:1")],
             ("plain", 62): [dict(ratio="1:1"), dict(ratio="2:1")],
             ("resnet-preact", 62): [dict(removal=r) for r in ("none", "first", "second")],
-            ("resnet-preact-bottleneck", 110): [dict(removal=str(k)) for k in range(4)],
+            ("resnet-preact-bottleneck", 110): [dict(removal=r) for r in ("none", "1", "2", "3")],
         }
         for (family, depth), variants in groups.items():
             reports = [audit(build_network(NetworkConfig(family=family, depth=depth,

@@ -8,8 +8,7 @@ import pytest
 from propmod import NetworkConfig, audit, build_network, collapse_check
 from propmod.audit import compose_kernels
 from propmod.autograd import ParamStore, Tape, seeded_rng
-from propmod.blocks import (Block, build_merge_run, build_plain_module,
-                            build_preact_bottleneck, build_preact_building)
+from propmod.blocks import Block, block_spec
 from propmod.layers import BatchNormState
 from propmod.tensor import ShapeError
 
@@ -18,7 +17,7 @@ class TestAudit:
     def test_plain_two_one_stack_counts(self):
         # a trunk of three 2:1 modules = 6 convs, 3 ReLUs
         store = ParamStore("double")
-        blocks = [Block(store, f"stage1.block{i}", build_plain_module("2:1"), seed=i)
+        blocks = [Block(store, f"stage1.block{i}", block_spec("plain-stack", "2:1"), seed=i)
                   for i in range(3)]
 
         def forward(x, training=False):
@@ -34,17 +33,18 @@ class TestAudit:
         assert report.regions["stage1"][:2] == [6, 3]
 
     def test_block_audit_ratio(self):
-        report = audit(build_plain_module("2:1"), input_shape=(1, 16, 8, 8))
+        report = audit(block_spec("plain-stack", "2:1"), input_shape=(1, 16, 8, 8))
         assert report.ratio == (2, 1)
-        report = audit(build_preact_bottleneck(1, in_channels=16, mid_channels=8,
-                                               out_channels=32), input_shape=(1, 16, 8, 8))
+        report = audit(block_spec("resnet-preact-bottleneck", "1", in_channels=16,
+                                  mid_channels=8, out_channels=32), input_shape=(1, 16, 8, 8))
         assert (report.n_conv, report.n_relu) == (3, 2)
         assert report.ratio == (3, 2)
 
     def test_param_count_invariant_under_removal(self):
         counts, conv_flops, relu_flops = [], [], []
         for removal in ("none", "first", "second"):
-            report = audit(build_preact_building(removal), input_shape=(1, 16, 16, 16))
+            report = audit(block_spec("resnet-preact-building", removal),
+                           input_shape=(1, 16, 16, 16))
             counts.append(report.param_count)
             conv_flops.append(report.flops_conv)
             relu_flops.append(report.flops_relu)
@@ -53,9 +53,11 @@ class TestAudit:
         assert relu_flops[1] < relu_flops[0] and relu_flops[2] < relu_flops[0]
 
     def test_bottleneck_relu_flops_drop(self):
-        base = audit(build_preact_bottleneck(0, in_channels=16, mid_channels=8, out_channels=32),
+        base = audit(block_spec("resnet-preact-bottleneck", "none", in_channels=16,
+                                mid_channels=8, out_channels=32),
                      input_shape=(1, 16, 8, 8))
-        t1 = audit(build_preact_bottleneck(1, in_channels=16, mid_channels=8, out_channels=32),
+        t1 = audit(block_spec("resnet-preact-bottleneck", "1", in_channels=16,
+                              mid_channels=8, out_channels=32),
                    input_shape=(1, 16, 8, 8))
         assert t1.flops_conv == base.flops_conv
         assert t1.flops_relu < base.flops_relu
@@ -63,7 +65,7 @@ class TestAudit:
 
     def test_conv_flops_formula(self):
         # one 3x3 conv, 4->8 channels, 8x8 output: 2 * 9 * 4 * 8 * 64
-        spec = build_plain_module("1:1", in_channels=4, out_channels=8)
+        spec = block_spec("plain-stack", "1:1", in_channels=4, out_channels=8)
         report = audit(spec, input_shape=(1, 4, 8, 8))
         per_conv = 2 * 9 * 8 * 8 * 64
         first = 2 * 9 * 4 * 8 * 64
@@ -79,7 +81,7 @@ class TestAudit:
         assert audit(build_network(cfg), input_shape=(1, 3, 16, 16)).ratio == (1, 1)
 
     def test_merge_run_param_parity(self):
-        reports = [audit(build_merge_run(r), input_shape=(1, 16, 8, 8))
+        reports = [audit(block_spec("dfn-merge-run", r), input_shape=(1, 16, 8, 8))
                    for r in ("none", "type1", "type2")]
         assert len({r.param_count for r in reports}) == 1
         assert len({r.flops_conv for r in reports}) == 1

@@ -9,7 +9,7 @@ import pytest
 from propmod import (NetworkConfig, ParamStore, ShapeError, Tensor, TrainConfig, audit,
                      build_network, fit, gradcheck, kernels, layers, make_synthetic)
 from propmod.autograd import Node, Tape, _masks_equal, seeded_rng
-from propmod.blocks import Block, build_preact_building
+from propmod.blocks import Block, block_spec
 from propmod.layers import softmax_cross_entropy
 
 from call_records import record_calls
@@ -223,7 +223,7 @@ class TestGradcheck:
         x = rng.standard_normal((2, 4, 6, 6))
         labels = np.array([1, 0])
         store = ParamStore("double")
-        spec = build_preact_building("first", in_channels=4, out_channels=4)
+        spec = block_spec("resnet-preact-building", "first", in_channels=4, out_channels=4)
         block = Block(store, "stage1.block0", spec, seed=3)
 
         def build(tape):
@@ -238,12 +238,11 @@ class TestGradcheck:
         rng = seeded_rng(0, "gc-post")
         x = rng.standard_normal((2, 4, 6, 6))
         labels = np.array([1, 0])
-        from propmod.blocks import build_postact_building
         for removal in ("first", "second"):
             store = ParamStore("double")
             block = Block(store, "stage1.block0",
-                               build_postact_building(removal, in_channels=4, out_channels=4),
-                               seed=5)
+                          block_spec("resnet-building", removal, in_channels=4, out_channels=4),
+                          seed=5)
 
             def build(tape):
                 out = block(tape, tape.constant(x))

@@ -1,6 +1,6 @@
 """Block structure golden: parameter registration order and tape layout.
 
-For every builder variant, ``tests/block_structure.txt`` records the
+For every block variant, ``tests/block_structure.txt`` records the
 parameter names in registration order (checkpoints, SGD and gradcheck walk
 them in that order) and the (kind, scope) sequence of a training tape
 (audit, relu_signature and the per-scope trace read it). The file depends
@@ -16,8 +16,7 @@ import numpy as np
 
 from golden_lines import assert_matches, print_lines
 from propmod.autograd import ParamStore, Tape
-from propmod.blocks import (Block, build_merge_run, build_plain_module, build_postact_building,
-                            build_preact_bottleneck, build_preact_building)
+from propmod.blocks import Block, block_spec
 
 GOLDEN = Path(__file__).parent / "block_structure.txt"
 
@@ -32,25 +31,24 @@ def builder_variants():
         for pairing in ("post", "pre"):
             for ratio in ("1:1", "2:1", "3:1", "3:2", "4:1", "4:3", "2:0"):
                 yield (f"plain {ratio} {pairing} drop={drop:d}",
-                       build_plain_module(ratio, pairing, in_channels=8, out_channels=16,
-                                          stride=2, linear_ok=ratio == "2:0",
-                                          drop_bn_with_relu=drop))
+                       block_spec("plain-stack", ratio, pairing, in_channels=8, out_channels=16,
+                                  stride=2, linear_ok=ratio == "2:0", drop_bn_with_relu=drop))
         for cin, cout, stride in _SHAPES:
             shape = dict(in_channels=cin, out_channels=cout, stride=stride,
                          drop_bn_with_relu=drop)
             for removal in ("none", "first", "second"):
                 yield (f"preact {removal} {cin}-{cout}/{stride} drop={drop:d}",
-                       build_preact_building(removal, **shape))
+                       block_spec("resnet-preact-building", removal, **shape))
                 yield (f"postact {removal} {cin}-{cout}/{stride} drop={drop:d}",
-                       build_postact_building(removal, **shape))
+                       block_spec("resnet-building", removal, **shape))
             for removal in ("none", "type1", "type2"):
                 yield (f"merge-run {removal} {cin}-{cout}/{stride} drop={drop:d}",
-                       build_merge_run(removal, **shape))
-            for removal_type in range(4):
+                       block_spec("dfn-merge-run", removal, **shape))
+            for removal_type, removal in enumerate(("none", "1", "2", "3")):
                 yield (f"bottleneck {removal_type} {cin}-{cout}/{stride} drop={drop:d}",
-                       build_preact_bottleneck(removal_type, in_channels=cin, mid_channels=4,
-                                               out_channels=cout, stride=stride,
-                                               drop_bn_with_relu=drop))
+                       block_spec("resnet-preact-bottleneck", removal, in_channels=cin,
+                                  mid_channels=4, out_channels=cout, stride=stride,
+                                  drop_bn_with_relu=drop))
 
 
 def structure_lines():

@@ -103,6 +103,26 @@ class TestExitCodes:
         assert err == [f"checkpoint error: {missing}: cannot read checkpoint: "
                        "No such file or directory"] * 2
 
+    @pytest.mark.parametrize("fault,code,named", [
+        ("unreadable", 3, "cannot read checkpoint"),
+        ("tensor", 3, "tensor 'stage1.block0.conv1.weight' shape (16, 16, 1, 1) does not match"),
+        ("seed", 1, "was written with seed 0, but this run uses seed 1"),
+    ])
+    def test_refused_resume_makes_no_run_directory(self, fault, code, named, tmp_path, capsys):
+        argv = ["train", *PLAIN8, "--dataset", "synthetic", "--synthetic-count", "16",
+                "--epochs", "1", "--batch-size", "8"]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        ckpt = tmp_path / "plain-d8-paired-s0" / "ckpt-final.bin"
+        tensors = load_tensors(ckpt)
+        tensors["stage1.block0.conv1.weight"] = np.zeros((16, 16, 1, 1), np.float32)
+        save_tensors(tmp_path / "edited.bin", tensors)
+        resume = {"unreadable": "missing.bin", "tensor": "edited.bin", "seed": ckpt}[fault]
+        capsys.readouterr()
+        assert main([*argv, "--seed", str(int(fault == "seed")), "--resume",
+                     str(tmp_path / resume), "--out", str(tmp_path / "rs")]) == code
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "rs").exists()
+
     def test_unwritable_output_exits_one_naming_it(self, tmp_path, capsys):
         taken = tmp_path / "a_file"
         taken.write_text("")
@@ -357,6 +377,17 @@ class TestSweepCommand:
         assert "repeats is 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_variant_family_lacks_exits_one_before_any_run(self, tmp_path, capsys):
+        spec = self.write_spec(tmp_path, [
+            {"name": "good", "arch": "plain", "depth": 8},
+            {"name": "bad", "arch": "resnet-preact-bottleneck", "depth": 11,
+             "removal_type": "7"},
+        ], repeats=1)
+        assert main(["sweep", str(spec), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == ("error: sweep cell bad seed 0: resnet-preact-bottleneck "
+                                           "removal must be one of none, 1, 2, 3; got '7'\n")
+        assert not (tmp_path / "out").exists()
+
     def test_partial_failure_keeps_completed(self, tmp_path, capsys):
         spec = self.write_spec(tmp_path, [
             {"name": "good", "arch": "plain", "depth": 8},
@@ -373,8 +404,8 @@ class TestSweepCommand:
 # Network flags of the command lines in this file, README's CLI section and
 # demos/06, then each family's --module proportional default and the spellings
 # that resolve to a paired network. Each pins the run id and manifest header the
-# line has always produced; the one change is the paired bottleneck's
-# removal=none (it was removal=0).
+# line has always produced. The paired bottleneck is spelled none alone: its
+# manifest says removal=none, and --removal-type 0 exits 1 (TestResolution).
 RESOLVED = [
     ("--arch plain --depth 8 --seed 3",
      "plain-d8-paired-s3",
@@ -488,10 +519,6 @@ RESOLVED = [
      "plain-d8-proportional-2-1-s0",
      "family=plain depth=8 blocks=1,1,1 widths=16,32,64 "
      "ratio=2:1 removal=none pairing=post drop_bn=0 classes=10 seed=0 precision=single"),
-    ("--arch resnet-preact-bottleneck --depth 11 --removal-type 0",
-     "resnet-preact-bottleneck-d11-paired-s0",
-     "family=resnet-preact-bottleneck depth=11 blocks=1,1,1 widths=16,32,64 "
-     "ratio=1:1 removal=0 pairing=post drop_bn=0 classes=10 seed=0 precision=single"),
     ("--arch resnet-preact-bottleneck --depth 11 --removal-type none",
      "resnet-preact-bottleneck-d11-paired-s0",
      "family=resnet-preact-bottleneck depth=11 blocks=1,1,1 widths=16,32,64 "
@@ -530,6 +557,12 @@ class TestResolution:
         ("--arch dfn-mr1 --pairing pre", "pairing"),
         ("--arch resnet-preact-bottleneck --depth 11 --pairing pre", "pairing"),
         ("--arch plain --epochs 0", "epochs"),
+        ("--arch resnet-preact-bottleneck --depth 11 --removal-type first",
+         "resnet-preact-bottleneck removal must be one of none, 1, 2, 3; got 'first'"),
+        ("--arch resnet-preact-bottleneck --depth 11 --removal-type 0",
+         "resnet-preact-bottleneck removal must be one of none, 1, 2, 3; got '0'"),
+        ("--arch plain --ratio 5:1",
+         "plain-stack ratio must be N:M with 1 <= N <= 4 and 0 <= M <= N, got '5:1'"),
     ])
     def test_refused_flag_exits_one_before_any_run(self, flags, named, tmp_path, capsys):
         code = main(["train", "--depth", "8", *TINY, *flags.split(),
@@ -557,7 +590,10 @@ class TestResolution:
         ("", "no depth= field"),
         ("block name=stage1.block0 relu=11 bn=11\n", "no depth= field"),
         ("family=plain depth=eight blocks=1,1,1\n", "'eight'"),
-    ], ids=["missing", "empty", "header-less", "bad-value"])
+        ("family=resnet-preact-bottleneck depth=11 blocks=1,1,1 widths=16,32,64 ratio=1:1 "
+         "removal=0 pairing=post drop_bn=0 classes=10 seed=0 precision=single\n",
+         "resnet-preact-bottleneck removal must be one of none, 1, 2, 3; got '0'"),
+    ], ids=["missing", "empty", "header-less", "bad-value", "removal-zero"])
     def test_unusable_manifest_exits_one_naming_it(self, content, named, tmp_path, capsys):
         manifest = tmp_path / "manifest.txt"
         if content is not None:
@@ -752,3 +788,6 @@ class TestDemos:
                                 capture_output=True, text=True,
                                 env={"PATH": "/usr/bin:/bin", "PYTHONPATH": PACKAGE_ROOT})
         assert result.returncode == 0, result.stderr
+        # 01 and 04 print float errors whose last bits depend on the BLAS build
+        if demo in ("02_block_families", "03_zero_cost_audit"):
+            assert result.stdout == (GOLDEN / f"demo_{demo[:2]}.txt").read_text()

@@ -5,7 +5,7 @@ import pytest
 
 from propmod import DepthError, NetworkConfig, audit, build_network
 from propmod.networks import (config_from_manifest_header, format_manifest,
-                              parse_manifest, resolve_stage_blocks, _template_block)
+                              parse_manifest, resolve_stage_blocks)
 
 
 def small(family, **kw):
@@ -27,13 +27,13 @@ class TestDepths:
     ])
     def test_published_depths(self, family, depth, expected):
         cfg = NetworkConfig(family=family, depth=depth)
-        blocks, note = resolve_stage_blocks(cfg, _template_block(cfg))
+        blocks, note = resolve_stage_blocks(cfg)
         assert blocks == expected
         assert note is None
 
     def test_plain_84_is_custom(self):
         cfg = NetworkConfig(family="plain", depth=84)
-        blocks, note = resolve_stage_blocks(cfg, _template_block(cfg))
+        blocks, note = resolve_stage_blocks(cfg)
         assert blocks == (14, 14, 13)
         assert "84" in note
 
@@ -44,7 +44,7 @@ class TestDepths:
 
     def test_bottleneck_depth_rule(self):
         cfg = NetworkConfig(family="resnet-preact-bottleneck", depth=29)
-        blocks, _ = resolve_stage_blocks(cfg, _template_block(cfg))
+        blocks, _ = resolve_stage_blocks(cfg)
         assert blocks == (3, 3, 3)
         with pytest.raises(DepthError):
             build_network(NetworkConfig(family="resnet-preact-bottleneck", depth=8))
@@ -66,15 +66,21 @@ class TestDepths:
         with pytest.raises(ValueError, match=f"{family} family has no {field} setting"):
             NetworkConfig(family=family, depth=8, **{field: value})
 
+    @pytest.mark.parametrize("removal", ["0", 0, 2, "7", "first"])
+    def test_removal_family_lacks_refused_when_made(self, removal):
+        with pytest.raises(ValueError, match=f"resnet-preact-bottleneck removal must be one of "
+                                             f"none, 1, 2, 3; got {removal!r}"):
+            NetworkConfig(family="resnet-preact-bottleneck", depth=11, removal=removal)
+
     @pytest.mark.parametrize("family,kw,variant", [
         ("plain", {}, None),
         ("plain", {"ratio": "2:1"}, "2:1"),
         ("plain", {"ratio": "3:2", "pairing": "pre"}, "3:2"),
         ("resnet-preact", {}, None),
         ("resnet-preact", {"removal": "first"}, "first"),
-        ("resnet-preact-bottleneck", {"removal": "0"}, None),
-        ("resnet-preact-bottleneck", {"removal": 0}, None),
-        ("resnet-preact-bottleneck", {"removal": 2}, "2"),
+        ("resnet-preact-bottleneck", {"removal": "none"}, None),
+        ("resnet-preact-bottleneck", {}, None),
+        ("resnet-preact-bottleneck", {"removal": "2"}, "2"),
         ("dfn-mr1", {"removal": "type2"}, "type2"),
     ])
     def test_variant_is_none_when_paired(self, family, kw, variant):
